@@ -28,6 +28,8 @@ class ByteWriter {
   void WriteVector(const std::vector<T>& values) {
     static_assert(std::is_trivially_copyable_v<T>);
     Write<uint64_t>(values.size());
+    // memcpy with an empty vector's null data() is undefined.
+    if (values.empty()) return;
     const size_t offset = bytes_.size();
     bytes_.resize(offset + values.size() * sizeof(T));
     std::memcpy(bytes_.data() + offset, values.data(),
@@ -72,6 +74,7 @@ class ByteReader {
     // Guard the multiplication: a corrupted count must not overflow.
     if (count > (bytes_.size() - offset_) / sizeof(T)) return false;
     values->resize(count);
+    if (count == 0) return true;
     std::memcpy(values->data(), bytes_.data() + offset_,
                 count * sizeof(T));
     offset_ += count * sizeof(T);

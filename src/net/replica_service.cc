@@ -110,7 +110,7 @@ Result<Frame> ReplicaServer::HandleFrame(const Frame& frame) {
     case FrameType::kHello: {
       HelloMsg hello;
       RLCUT_RETURN_IF_ERROR(DecodeHello(frame.payload, &hello));
-      if (hello.protocol_version != 1) {
+      if (hello.protocol_version != kReplicaProtocolVersion) {
         return Status::InvalidArgument(
             "unsupported replica protocol version " +
             std::to_string(hello.protocol_version));

@@ -18,8 +18,13 @@ namespace net {
 /// Replica-sync protocol payloads (docs/distributed.md). Deltas and
 /// snapshots use the partition codecs; the rest are the small control
 /// messages below. All decode paths bound counts before allocating.
+/// Version 2 carries the additive MastersFingerprint digest in HelloAck
+/// and Ack; a version-1 peer hashed differently and is refused at the
+/// handshake rather than resynced forever.
+constexpr uint32_t kReplicaProtocolVersion = 2;
+
 struct HelloMsg {
-  uint32_t protocol_version = 1;
+  uint32_t protocol_version = kReplicaProtocolVersion;
   uint64_t client_version = 0;
   uint64_t client_fingerprint = 0;
 };

@@ -4,8 +4,49 @@
 #include <utility>
 
 #include "common/byte_io.h"
+#include "common/random.h"
 
 namespace rlcut {
+
+namespace {
+
+// One vertex's term of the masters digest. SplitMix64 is a bijection on
+// 64-bit words, and the key packs (vertex, DC) injectively, so distinct
+// (vertex, DC) pairs never share a term.
+uint64_t MasterTerm(VertexId v, DcId dc) {
+  return SplitMix64((static_cast<uint64_t>(v) << 32) |
+                    static_cast<uint32_t>(dc));
+}
+
+// Whether `move` applies onto `masters` as it stands.
+Status CheckMove(const PlanMove& move, const std::vector<DcId>& masters,
+                 int num_dcs) {
+  if (move.vertex >= masters.size()) {
+    return Status::OutOfRange("plan delta moves vertex " +
+                              std::to_string(move.vertex) +
+                              " outside the replica");
+  }
+  if (move.to < 0 || move.to >= num_dcs) {
+    return Status::OutOfRange("plan delta moves vertex " +
+                              std::to_string(move.vertex) +
+                              " to unknown DC " + std::to_string(move.to));
+  }
+  if (masters[move.vertex] != move.from) {
+    return Status::FailedPrecondition(
+        "plan delta expects vertex " + std::to_string(move.vertex) +
+        " mastered at DC " + std::to_string(move.from) +
+        " but the replica has it at " +
+        std::to_string(masters[move.vertex]));
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
+PlanReplica::PlanReplica(std::vector<DcId> masters, int num_dcs)
+    : masters_(std::move(masters)),
+      num_dcs_(num_dcs),
+      fingerprint_(MastersFingerprint(masters_)) {}
 
 Status PlanReplica::Apply(const PlanDelta& delta) {
   if (delta.base_version != version_) {
@@ -14,31 +55,22 @@ Status PlanReplica::Apply(const PlanDelta& delta) {
         std::to_string(delta.base_version) + " but the replica is at " +
         std::to_string(version_));
   }
-  // Validate the whole delta before touching the replica so a rejected
-  // delta leaves it bit-identical to its pre-Apply state. Moves within
-  // a delta apply in order, so `from` chains through duplicates.
-  std::vector<DcId> applied(masters_);
-  for (const PlanMove& move : delta.moves) {
-    if (move.vertex >= applied.size()) {
-      return Status::OutOfRange("plan delta moves vertex " +
-                                std::to_string(move.vertex) +
-                                " outside the replica");
+  // Moves apply in place and in order, so `from` chains through
+  // duplicates. A rejected move undoes the applied prefix in reverse,
+  // which leaves the replica bit-identical to its pre-Apply state.
+  const uint64_t fingerprint_before = fingerprint_;
+  for (size_t i = 0; i < delta.moves.size(); ++i) {
+    const PlanMove& move = delta.moves[i];
+    Status checked = CheckMove(move, masters_, num_dcs_);
+    if (!checked.ok()) {
+      while (i-- > 0) masters_[delta.moves[i].vertex] = delta.moves[i].from;
+      fingerprint_ = fingerprint_before;
+      return checked;
     }
-    if (move.to < 0 || move.to >= num_dcs_) {
-      return Status::OutOfRange("plan delta moves vertex " +
-                                std::to_string(move.vertex) +
-                                " to unknown DC " + std::to_string(move.to));
-    }
-    if (applied[move.vertex] != move.from) {
-      return Status::FailedPrecondition(
-          "plan delta expects vertex " + std::to_string(move.vertex) +
-          " mastered at DC " + std::to_string(move.from) +
-          " but the replica has it at " +
-          std::to_string(applied[move.vertex]));
-    }
-    applied[move.vertex] = move.to;
+    masters_[move.vertex] = move.to;
+    fingerprint_ += MasterTerm(move.vertex, move.to) -
+                    MasterTerm(move.vertex, move.from);
   }
-  masters_ = std::move(applied);
   ++version_;
   return Status::Ok();
 }
@@ -60,6 +92,7 @@ Status PlanReplica::InstallSnapshot(const PlanSnapshot& snapshot) {
   masters_ = snapshot.masters;
   num_dcs_ = snapshot.num_dcs;
   version_ = snapshot.version;
+  fingerprint_ = MastersFingerprint(masters_);
   return Status::Ok();
 }
 
@@ -136,9 +169,11 @@ Status DecodePlanSnapshot(const std::string& bytes, PlanSnapshot* out) {
 }
 
 uint64_t MastersFingerprint(const std::vector<DcId>& masters) {
-  ByteWriter writer;
-  writer.WriteVector(masters);
-  return Fnv1a64(writer.bytes());
+  uint64_t fingerprint = SplitMix64(masters.size());
+  for (size_t v = 0; v < masters.size(); ++v) {
+    fingerprint += MasterTerm(static_cast<VertexId>(v), masters[v]);
+  }
+  return fingerprint;
 }
 
 }  // namespace rlcut

@@ -47,31 +47,38 @@ Status DecodePlanDelta(const std::string& bytes, PlanDelta* out);
 std::string EncodePlanSnapshot(const PlanSnapshot& snapshot);
 Status DecodePlanSnapshot(const std::string& bytes, PlanSnapshot* out);
 
-/// Order-sensitive FNV-1a over a masters array, prefixed with its size:
-/// the cheap bit-identity check two ends of a replica link exchange to
-/// detect silent divergence.
+/// Position-keyed additive digest of a masters array: the bit-identity
+/// check two ends of a replica link exchange to detect silent
+/// divergence (docs/distributed.md). It is
+///   SplitMix64(|m|) + sum over v of SplitMix64((v << 32) | uint32(m[v]))
+/// modulo 2^64. Each term is a bijective mix of its (vertex, DC) pair,
+/// so a divergence at any single vertex always changes the digest, and
+/// moving one master changes exactly one term: a PlanReplica keeps the
+/// digest current in O(1) per move.
 uint64_t MastersFingerprint(const std::vector<DcId>& masters);
 
-/// A versioned snapshot of the masters array, kept in sync by applying
-/// PlanDeltas in version order (docs/sharding.md). This is the
-/// process-ready half of the sharded ownership protocol: non-owner
-/// shards read plan state from a replica like this one instead of the
-/// owner's address space, and the owner publishes its committed moves
-/// as deltas at the sync cadence. In the threads-first runtime the
-/// trainer maintains one replica next to the authoritative
-/// PartitionState and audits that the two agree after every sync; in
-/// the process split (src/net, docs/distributed.md) Apply runs on the
-/// far side of an RPC.
+/// A versioned copy of the masters array, kept in sync by applying
+/// PlanDeltas in version order. This is the audit mirror of the
+/// ownership protocol (docs/sharding.md): the trainer applies every
+/// sync interval's committed moves to one replica, checks after the
+/// last sync that it agrees with the authoritative PartitionState bit
+/// for bit, and hands exactly those deltas to an attached ReplicaSink.
+/// Scoring reads the PartitionState, never this replica. In the process
+/// split (src/net, docs/distributed.md) the same class backs the
+/// client's mirror and the server's copy on the far side of the RPC.
+///
+/// Apply costs O(|delta|): moves apply in place and the fingerprint is
+/// updated per move rather than recomputed.
 class PlanReplica {
  public:
   PlanReplica() = default;
-  PlanReplica(std::vector<DcId> masters, int num_dcs)
-      : masters_(std::move(masters)), num_dcs_(num_dcs) {}
+  PlanReplica(std::vector<DcId> masters, int num_dcs);
 
-  /// Applies `delta` in order. Fails without mutating anything if the
-  /// delta's base version does not match this replica, a move's vertex
-  /// or destination is out of range, or a move's `from` disagrees with
-  /// the replica (the owner and the replica have diverged).
+  /// Applies `delta` in order, in place. Fails, leaving the replica
+  /// bit-identical to its pre-Apply state, if the delta's base version
+  /// does not match this replica, a move's vertex or destination is out
+  /// of range, or a move's `from` disagrees with the replica (the owner
+  /// and the replica have diverged).
   Status Apply(const PlanDelta& delta);
 
   /// Replaces the replica's entire state with `snapshot`, including its
@@ -87,12 +94,14 @@ class PlanReplica {
   DcId master(VertexId v) const { return masters_[v]; }
   uint64_t version() const { return version_; }
   int num_dcs() const { return num_dcs_; }
-  uint64_t Fingerprint() const { return MastersFingerprint(masters_); }
+  /// MastersFingerprint(masters()), maintained incrementally.
+  uint64_t Fingerprint() const { return fingerprint_; }
 
  private:
   std::vector<DcId> masters_;
   int num_dcs_ = 0;
   uint64_t version_ = 0;
+  uint64_t fingerprint_ = MastersFingerprint({});
 };
 
 /// Where a trainer publishes its committed plan state, one delta per

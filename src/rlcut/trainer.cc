@@ -397,12 +397,12 @@ TrainResult RLCutTrainer::Train(PartitionState* state,
     }
   }
 
-  // The delta-sync bus of the ownership protocol: non-owner shards
-  // read plan state from this versioned replica instead of the
-  // authoritative PartitionState. The trainer accumulates committed
-  // moves into a delta and applies it every shard_sync_batches
-  // batches; in a process split, Apply runs behind an RPC instead and
-  // nothing about the accumulation changes.
+  // The audit mirror of the ownership protocol. Scoring reads the
+  // authoritative PartitionState; this versioned replica only receives
+  // the committed moves as one delta every shard_sync_batches batches,
+  // sources the delta stream an attached sink ships, and is checked
+  // against the PartitionState after the last sync. Apply is
+  // O(|delta|), so a sync costs its moves, not a pass over |V|.
   PlanReplica replica(state->masters(), num_dcs);
   PlanDelta sync_delta;
   int batches_since_sync = 0;
@@ -873,8 +873,8 @@ TrainResult RLCutTrainer::Train(PartitionState* state,
                            options_.budget) < 0) {
           step_metrics.rollbacks->Increment();
         } else {
-          // Committed moves double as the owner's published delta:
-          // non-owner shards learn of them at the next replica sync.
+          // Committed moves double as the owner's published delta,
+          // applied to the audit mirror at the next replica sync.
           sync_delta.moves.push_back(PlanMove{v, from, action});
           state->MoveMaster(v, action);
           step_metrics.migrations->Increment();
@@ -984,8 +984,8 @@ TrainResult RLCutTrainer::Train(PartitionState* state,
   fault::SetStepContext(-1);
 
   // Flush the residual delta and audit the protocol: after the final
-  // sync the replica every non-owner shard reads must agree with the
-  // authoritative plan bit for bit.
+  // sync the delta-built replica must agree with the authoritative plan
+  // bit for bit.
   if (options_.shard_sync_batches > 0) {
     if (!sync_delta.moves.empty()) sync_replica();
     RLCUT_CHECK(replica.masters() == state->masters())

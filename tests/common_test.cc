@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/byte_io.h"
 #include "common/flags.h"
 #include "common/random.h"
 #include "common/stats.h"
@@ -14,6 +15,28 @@
 
 namespace rlcut {
 namespace {
+
+// ---- ByteWriter / ByteReader -------------------------------------------
+
+TEST(ByteIoTest, VectorRoundTripIncludingEmpty) {
+  ByteWriter writer;
+  writer.WriteVector(std::vector<int32_t>{});
+  writer.WriteVector(std::vector<int32_t>{7, -1});
+  writer.WriteVector(std::vector<double>{});
+  ByteReader reader(writer.bytes());
+  // Default-constructed targets: data() is null, the case memcpy must
+  // never see.
+  std::vector<int32_t> empty;
+  std::vector<int32_t> pair;
+  std::vector<double> empty_doubles;
+  ASSERT_TRUE(reader.ReadVector(&empty));
+  ASSERT_TRUE(reader.ReadVector(&pair));
+  ASSERT_TRUE(reader.ReadVector(&empty_doubles));
+  EXPECT_TRUE(reader.exhausted());
+  EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(pair, (std::vector<int32_t>{7, -1}));
+  EXPECT_TRUE(empty_doubles.empty());
+}
 
 // ---- Status / Result ---------------------------------------------------
 

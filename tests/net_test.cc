@@ -223,6 +223,16 @@ TEST(PlanWireTest, SnapshotRoundTrip) {
   EXPECT_EQ(out.masters, snapshot.masters);
 }
 
+TEST(PlanWireTest, EmptySnapshotRoundTrip) {
+  PlanSnapshot snapshot;
+  snapshot.version = 2;
+  snapshot.num_dcs = 1;
+  PlanSnapshot out;
+  ASSERT_TRUE(DecodePlanSnapshot(EncodePlanSnapshot(snapshot), &out).ok());
+  EXPECT_EQ(out.version, 2u);
+  EXPECT_TRUE(out.masters.empty());
+}
+
 TEST(PlanWireTest, RejectsTruncationAndHugeCounts) {
   PlanDelta delta;
   delta.base_version = 1;
@@ -344,6 +354,21 @@ TEST(ReplicaServerTest, ProtocolStateMachine) {
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(reply->type, FrameType::kPong);
   EXPECT_FALSE(server.HandleFrame(Frame{FrameType::kDelta, "junk"}).ok());
+}
+
+TEST(ReplicaServerTest, RejectsProtocolVersionOneHello) {
+  // Version 1 peers exchanged a different masters digest; they must fail
+  // the handshake instead of resyncing against an Ack that never matches.
+  ReplicaServer server;
+  net::HelloMsg hello;
+  hello.protocol_version = 1;
+  Result<Frame> reply = server.HandleFrame(
+      Frame{FrameType::kHello, net::EncodeHello(hello)});
+  ASSERT_FALSE(reply.ok());
+  EXPECT_NE(reply.status().message().find(
+                "unsupported replica protocol version 1"),
+            std::string::npos);
+  EXPECT_EQ(net::HelloMsg().protocol_version, 2u);
 }
 
 // ---- ReplicaClient end-to-end ----------------------------------------

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "cloud/topology.h"
+#include "common/random.h"
 #include "graph/generators.h"
 #include "graph/geo.h"
 #include "partition/plan_delta.h"
@@ -171,6 +172,98 @@ TEST(PlanReplicaTest, RejectedDeltaLeavesReplicaUntouched) {
   }
   EXPECT_EQ(replica.version(), 0u);
   EXPECT_EQ(replica.masters(), (std::vector<DcId>{0, 1}));
+}
+
+TEST(PlanReplicaTest, FingerprintTracksRandomDeltaChains) {
+  constexpr int kDcs = 4;
+  constexpr VertexId kVertices = 64;
+  Rng rng(17);
+  std::vector<DcId> masters(kVertices);
+  for (DcId& dc : masters) dc = static_cast<DcId>(rng.UniformInt(kDcs));
+  PlanReplica replica(masters, kDcs);
+  ASSERT_EQ(replica.Fingerprint(), MastersFingerprint(replica.masters()));
+
+  for (int round = 0; round < 200; ++round) {
+    if (round % 50 == 49) {
+      // Resync onto an unrelated state; the digest restarts from it.
+      PlanSnapshot snapshot;
+      snapshot.version = replica.version() + 3;
+      snapshot.num_dcs = kDcs;
+      snapshot.masters.resize(kVertices - round / 50);
+      for (DcId& dc : snapshot.masters) {
+        dc = static_cast<DcId>(rng.UniformInt(kDcs));
+      }
+      ASSERT_TRUE(replica.InstallSnapshot(snapshot).ok());
+      ASSERT_EQ(replica.Fingerprint(), MastersFingerprint(snapshot.masters));
+      continue;
+    }
+    PlanDelta delta;
+    delta.base_version = replica.version();
+    std::vector<DcId> expected = replica.masters();
+    const int num_moves = static_cast<int>(rng.UniformInt(8));
+    for (int m = 0; m < num_moves; ++m) {
+      // Every other move re-moves the previous vertex, so deltas often
+      // carry a vertex twice.
+      const VertexId v =
+          (m % 2 == 1) ? delta.moves.back().vertex
+                       : static_cast<VertexId>(rng.UniformInt(expected.size()));
+      const DcId to = static_cast<DcId>(rng.UniformInt(kDcs));
+      delta.moves.push_back(PlanMove{v, expected[v], to});
+      expected[v] = to;
+    }
+    ASSERT_TRUE(replica.Apply(delta).ok()) << "round " << round;
+    ASSERT_EQ(replica.masters(), expected) << "round " << round;
+    ASSERT_EQ(replica.Fingerprint(), MastersFingerprint(expected))
+        << "round " << round;
+  }
+}
+
+TEST(PlanReplicaTest, RejectionAtLastMoveRestoresMastersAndFingerprint) {
+  PlanReplica replica({0, 1, 2}, /*num_dcs=*/3);
+  PlanDelta advance;
+  advance.moves = {{1, 1, 0}};
+  ASSERT_TRUE(replica.Apply(advance).ok());
+  const std::vector<DcId> masters = replica.masters();
+  const uint64_t version = replica.version();
+  const uint64_t fingerprint = replica.Fingerprint();
+
+  // Vertex 0 moves twice and vertex 2 once before the final move, whose
+  // `from` is stale: the whole applied prefix must be undone.
+  PlanDelta delta;
+  delta.base_version = version;
+  delta.moves = {{0, 0, 1}, {2, 2, 0}, {0, 1, 2}, {0, 1, 0}};
+  EXPECT_EQ(replica.Apply(delta).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(replica.masters(), masters);
+  EXPECT_EQ(replica.version(), version);
+  EXPECT_EQ(replica.Fingerprint(), fingerprint);
+
+  // Same prefix, last move to an unknown DC.
+  delta.moves.back() = PlanMove{0, 2, 9};
+  EXPECT_EQ(replica.Apply(delta).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(replica.masters(), masters);
+  EXPECT_EQ(replica.version(), version);
+  EXPECT_EQ(replica.Fingerprint(), fingerprint);
+}
+
+TEST(PlanReplicaTest, FingerprintChangesWithAnySingleMaster) {
+  constexpr int kDcs = 5;
+  Rng rng(3);
+  std::vector<DcId> masters(40);
+  for (DcId& dc : masters) dc = static_cast<DcId>(rng.UniformInt(kDcs));
+  const uint64_t base = MastersFingerprint(masters);
+  for (size_t v = 0; v < masters.size(); ++v) {
+    for (DcId dc = 0; dc < kDcs; ++dc) {
+      if (dc == masters[v]) continue;
+      std::vector<DcId> changed = masters;
+      changed[v] = dc;
+      EXPECT_NE(MastersFingerprint(changed), base)
+          << "vertex " << v << " to DC " << dc;
+    }
+  }
+}
+
+TEST(PlanReplicaTest, DefaultReplicaFingerprintIsTheEmptyDigest) {
+  EXPECT_EQ(PlanReplica().Fingerprint(), MastersFingerprint({}));
 }
 
 // ---- Options validation ---------------------------------------------

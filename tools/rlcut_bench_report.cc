@@ -65,6 +65,17 @@ void* CountedAlloc(std::size_t size, std::size_t align) {
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
+
+// The nothrow forms (std::stable_sort's temporary buffer, for one) must
+// allocate here too: every block is released through the free() below,
+// and a sanitizer's own operator new would report the mismatch.
+void* NothrowCountedAlloc(std::size_t size, std::size_t align) noexcept {
+  try {
+    return CountedAlloc(size, align);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
 }  // namespace
 
 void* operator new(std::size_t size) { return CountedAlloc(size, 0); }
@@ -75,12 +86,46 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return CountedAlloc(size, static_cast<std::size_t>(align));
 }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return NothrowCountedAlloc(size, 0);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return NothrowCountedAlloc(size, 0);
+}
+void* operator new(std::size_t size, std::align_val_t align,
+                   const std::nothrow_t&) noexcept {
+  return NothrowCountedAlloc(size, static_cast<std::size_t>(align));
+}
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t&) noexcept {
+  return NothrowCountedAlloc(size, static_cast<std::size_t>(align));
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 #include "cloud/topology.h"
 #include "common/flags.h"

@@ -113,10 +113,6 @@ RLCutOptions TrainerOptions(const ChaosOptions& options, uint64_t seed) {
   // improvement of 0.0), so sessions may legitimately stop early; the
   // crash lane checkpoints every step to guarantee a fallback pair.
   topts.convergence_epsilon = 1e-12;
-  // Tight deadline + an extra retry round: injected stalls and dropped
-  // chunks must resolve through re-dispatch, not by waiting them out.
-  topts.batch_deadline_seconds = 0.05;
-  topts.chunk_max_retries = 3;
   return topts;
 }
 

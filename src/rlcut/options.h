@@ -52,11 +52,6 @@ struct RLCutOptions {
   /// constant (not hardware concurrency) so two hosts resume the same
   /// checkpoint bit-identically without configuring anything.
   int num_shards = 0;
-  /// Delta-sync cadence of the sharded ownership protocol: the plan
-  /// replica non-owner shards read is brought up to date every N
-  /// batches (docs/sharding.md). Larger values batch more moves per
-  /// sync message; the committed trajectory is unaffected.
-  int shard_sync_batches = 4;
 
   /// Budget B on inter-DC communication cost, dollars (Eq. 7).
   /// <= 0 disables the constraint.
@@ -93,7 +88,10 @@ struct RLCutOptions {
   /// paper's pure lowest-degree-first sampling.
   double hub_slot_fraction = 0.1;
 
-  /// Degree-balanced greedy assignment of agents to threads (Sec. V-B).
+  /// Straggler mitigation, sharded form (Sec. V-B): dispatch the
+  /// batch's scoring work heaviest shard first. Ownership fixes which
+  /// shard scores each agent, so this only orders the dispatch; it
+  /// affects wall clock, never the trajectory.
   bool straggler_mitigation = true;
 
   /// Extension beyond the paper: weight of the smooth per-link-sum
@@ -114,19 +112,7 @@ struct RLCutOptions {
   /// relative amount while the budget is satisfied.
   double convergence_epsilon = 1e-4;
 
-  // ---- Robustness knobs (docs/robustness.md) -------------------------
-
-  /// Wall-clock deadline for one batch's parallel scoring stage,
-  /// seconds. On expiry the incomplete agent chunks are speculatively
-  /// re-dispatched with exponential backoff (scoring is pure until the
-  /// commit phase, so duplicate execution is harmless); after
-  /// `chunk_max_retries` rounds the coordinator runs the stragglers
-  /// inline. <= 0 means no deadline — except while a fault schedule is
-  /// armed, where a short default keeps injected stalls and dropped
-  /// tasks bounded.
-  double batch_deadline_seconds = 0;
-  /// Speculative re-dispatch rounds before the inline fallback.
-  int chunk_max_retries = 2;
+  // ---- Crash tolerance (docs/robustness.md) --------------------------
 
   /// Auto-checkpoint: every N completed steps, write a crash-consistent
   /// rotating checkpoint (primary + ".prev" last-good) to

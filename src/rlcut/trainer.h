@@ -8,7 +8,6 @@
 
 #include "common/status.h"
 #include "common/thread_pool.h"
-#include "obs/metrics.h"
 #include "partition/partition_state.h"
 #include "partition/plan_delta.h"
 #include "rlcut/automaton.h"
@@ -16,13 +15,9 @@
 
 namespace rlcut {
 
-/// Per-training-step telemetry (drives Fig. 13/14 and Table IV).
-///
-/// The trainer no longer books these separately: every field is
-/// recorded into a per-run metrics registry under "trainer.step.*"
-/// series labeled {"step", i}, and StepStats is materialized back from
-/// that registry by StepStatsFromRegistry() — one bookkeeping path for
-/// both the exported metrics and the in-process telemetry.
+/// Per-training-step telemetry (drives Fig. 13/14 and Table IV). The
+/// trainer fills one per completed step into TrainResult::steps, and
+/// the Eq. 14 sampler reads them back as the run's history.
 struct StepStats {
   int step = 0;
   double sample_rate = 0;
@@ -33,13 +28,6 @@ struct StepStats {
   uint64_t migrations = 0;
   uint64_t rollbacks = 0;
 };
-
-/// Rebuilds the chronological step telemetry from the "trainer.step.*"
-/// series of `registry` (see StepStats). Steps come out sorted by their
-/// {"step"} label, so the result equals the TrainResult::steps of the
-/// run that filled the registry.
-std::vector<StepStats> StepStatsFromRegistry(
-    const obs::MetricsRegistry& registry);
 
 /// Resumable cursor of a training run: everything the step loop carries
 /// from one step to the next that lives outside the PartitionState and
@@ -90,7 +78,8 @@ struct TrainResult {
   /// SetReplicaSink: OK when the sink's Flush confirmed the far side
   /// holds the final plan bit for bit, non-OK when it could not — the
   /// fail-closed signal for callers that require a synced replica.
-  /// Always OK when no sink is attached.
+  /// Every Train call begins and flushes an attached sink, also one
+  /// that trains nothing. Always OK when no sink is attached.
   Status replica_status;
   /// True if the sink reported degraded (lossy/stale) operation at any
   /// sync during the run.
@@ -181,10 +170,6 @@ class RLCutTrainer {
   void SetReplicaSink(ReplicaSink* sink) { replica_sink_ = sink; }
 
  private:
-  // Sampling rate for step `step` per Eq. 14, from the history so far.
-  double SampleRateForStep(int step,
-                           const std::vector<StepStats>& history) const;
-
   RLCutOptions options_;
   size_t num_threads_;
   size_t num_shards_;

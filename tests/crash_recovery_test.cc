@@ -19,6 +19,7 @@
 #include "fault/fault.h"
 #include "graph/generators.h"
 #include "graph/geo.h"
+#include "obs/metrics.h"
 #include "rlcut/checkpoint.h"
 
 namespace rlcut {
@@ -302,21 +303,34 @@ TEST_F(CrashRecoveryTest, AutoCheckpointedRunResumesToTheSameResult) {
 TEST_F(CrashRecoveryTest, MaskedFaultsLeaveTrainingBitIdentical) {
   const RLCutOptions options = Options();
   const std::vector<DcId> reference = UninterruptedMasters(options);
+  obs::Counter* inline_runs =
+      obs::DefaultRegistry().GetCounter("trainer.chunk_inline_runs");
 
-  auto state = MakeState();
-  AutomatonPool pool(graph_.num_vertices(), topology_.num_dcs(), options);
-  fault::Arm(MustParse(
+  const std::string mixed =
       "threadpool.task_throw:prob=0.1;"
       "trainer.chunk_stall:prob=0.2,amount=10;"
-      "trainer.chunk_abandon:prob=0.1"));
-  RLCutTrainer(options).Train(state.get(), AllVertices(), &pool);
-  const uint64_t fires = fault::TotalFires();
-  fault::Disarm();
+      "trainer.chunk_abandon:prob=0.1";
+  // Abandons every dispatched attempt, so every shard ends up scored
+  // inline after the re-dispatch rounds.
+  const std::string abandon_all = "trainer.chunk_abandon:prob=1";
+  for (const std::string& schedule : {mixed, abandon_all}) {
+    SCOPED_TRACE(schedule);
+    auto state = MakeState();
+    AutomatonPool pool(graph_.num_vertices(), topology_.num_dcs(), options);
+    const uint64_t inline_before = inline_runs->value();
+    fault::Arm(MustParse(schedule));
+    RLCutTrainer(options).Train(state.get(), AllVertices(), &pool);
+    const uint64_t fires = fault::TotalFires();
+    fault::Disarm();
 
-  EXPECT_GT(fires, 0u);
-  // Scoring is pure and retried work is idempotent, so every one of
-  // these faults must be absorbed without changing the result.
-  EXPECT_EQ(state->masters(), reference);
+    EXPECT_GT(fires, 0u);
+    if (schedule == abandon_all) {
+      EXPECT_GT(inline_runs->value(), inline_before);
+    }
+    // Scoring is pure and retried work is idempotent, so every one of
+    // these faults must be absorbed without changing the result.
+    EXPECT_EQ(state->masters(), reference);
+  }
 }
 
 TEST_F(CrashRecoveryTest, StaleTempFilesAreDetectedAndRemoved) {

@@ -256,30 +256,6 @@ TEST(TraceTest, ChromeTraceExportGolden) {
             "be\"ta,test,2,4.000,0.500,\n");
 }
 
-// ---- StepStats as a registry view --------------------------------------
-
-TEST(StepStatsTest, MaterializesFromRegistrySorted) {
-  MetricsRegistry registry;
-  // Write step 1 before step 0: the view must come back sorted by step.
-  registry.GetGauge("trainer.step.seconds", {{"step", "1"}})->Set(0.25);
-  registry.GetCounter("trainer.step.migrations", {{"step", "1"}})
-      ->Increment(7);
-  registry.GetGauge("trainer.step.sample_rate", {{"step", "0"}})->Set(0.5);
-  registry.GetGauge("trainer.step.num_agents", {{"step", "0"}})->Set(42);
-  registry.GetCounter("trainer.step.rollbacks", {{"step", "0"}})
-      ->Increment(2);
-
-  const std::vector<StepStats> steps = StepStatsFromRegistry(registry);
-  ASSERT_EQ(steps.size(), 2u);
-  EXPECT_EQ(steps[0].step, 0);
-  EXPECT_DOUBLE_EQ(steps[0].sample_rate, 0.5);
-  EXPECT_EQ(steps[0].num_agents, 42u);
-  EXPECT_EQ(steps[0].rollbacks, 2u);
-  EXPECT_EQ(steps[1].step, 1);
-  EXPECT_DOUBLE_EQ(steps[1].seconds, 0.25);
-  EXPECT_EQ(steps[1].migrations, 7u);
-}
-
 // ---- Partitioner registry ----------------------------------------------
 
 TEST(PartitionerRegistryTest, PaperComparisonsInFig10Order) {

@@ -1,4 +1,6 @@
+#include <functional>
 #include <memory>
+#include <numeric>
 
 #include <gtest/gtest.h>
 
@@ -7,6 +9,8 @@
 #include "common/random.h"
 #include "graph/generators.h"
 #include "graph/geo.h"
+#include "obs/metrics.h"
+#include "partition/plan_delta.h"
 #include "rlcut/rlcut_partitioner.h"
 #include "rlcut/trainer.h"
 
@@ -71,14 +75,31 @@ TEST_F(TrainerTest, ImprovesOverNaturalPartitioning) {
 }
 
 TEST_F(TrainerTest, MigrationsAndRollbacksAccounted) {
+  obs::MetricsRegistry& registry = obs::DefaultRegistry();
+  obs::Counter* migrations = registry.GetCounter("trainer.migrations");
+  obs::Counter* rollbacks = registry.GetCounter("trainer.rollbacks");
+  obs::Counter* visits = registry.GetCounter("trainer.agent_visits");
+  const uint64_t migrations_before = migrations->value();
+  const uint64_t rollbacks_before = rollbacks->value();
+  const uint64_t visits_before = visits->value();
+
   PartitionState state = NaturalState();
   RLCutTrainer trainer(FastOptions());
   const TrainResult result = trainer.Train(&state);
-  uint64_t moves = 0;
+  uint64_t step_migrations = 0;
+  uint64_t step_rollbacks = 0;
+  uint64_t step_agents = 0;
   for (const StepStats& s : result.steps) {
-    moves += s.migrations + s.rollbacks;
+    step_migrations += s.migrations;
+    step_rollbacks += s.rollbacks;
+    step_agents += s.num_agents;
   }
-  EXPECT_GT(moves, 0u);
+  EXPECT_GT(step_migrations + step_rollbacks, 0u);
+  // The per-step telemetry and the process-wide counters book the same
+  // moves and visits.
+  EXPECT_EQ(step_migrations, migrations->value() - migrations_before);
+  EXPECT_EQ(step_rollbacks, rollbacks->value() - rollbacks_before);
+  EXPECT_EQ(step_agents, visits->value() - visits_before);
 }
 
 TEST_F(TrainerTest, RespectsTightBudget) {
@@ -214,6 +235,72 @@ TEST_F(TrainerTest, EmptyEligibleSetIsNoOp) {
   const TrainResult result = trainer.Train(&state, {});
   EXPECT_TRUE(result.converged);
   EXPECT_EQ(state.masters(), before);
+}
+
+// Records what a trainer hands its replica sink; Flush returns
+// `flush_status`.
+class RecordingSink : public ReplicaSink {
+ public:
+  Status Begin(const PlanSnapshot& snapshot) override {
+    ++begins;
+    begun = snapshot;
+    return Status::Ok();
+  }
+  Status PushDelta(const PlanDelta& /*delta*/) override {
+    ++pushes;
+    return Status::Ok();
+  }
+  Status Flush() override {
+    ++flushes;
+    return flush_status;
+  }
+  bool degraded() const override { return false; }
+  uint64_t version() const override { return begun.version + pushes; }
+
+  int begins = 0;
+  int pushes = 0;
+  int flushes = 0;
+  PlanSnapshot begun;
+  Status flush_status;
+};
+
+TEST_F(TrainerTest, EarlyExitsBeginAndFlushTheReplicaSink) {
+  PartitionState state = NaturalState();
+  RLCutTrainer trainer(FastOptions());
+  std::vector<VertexId> all(graph_.num_vertices());
+  std::iota(all.begin(), all.end(), 0u);
+  AutomatonPool pool(graph_.num_vertices(), state.num_dcs(), trainer.options());
+  TrainerSession session;
+  trainer.Train(&state, all, &pool, &session);
+  ASSERT_TRUE(session.finished);
+  const int next_step = session.next_step;
+
+  // Train calls that return before any step: nothing eligible, and a
+  // resumed session that already finished. The sink must still be
+  // handed the plan and flushed, so replica_status reports whether the
+  // far side holds it.
+  const std::function<TrainResult()> early_exits[] = {
+      [&] { return trainer.Train(&state, {}); },
+      [&] { return trainer.Train(&state, all, &pool, &session); },
+  };
+  for (const auto& train : early_exits) {
+    RecordingSink sink;
+    trainer.SetReplicaSink(&sink);
+    EXPECT_TRUE(train().replica_status.ok());
+    EXPECT_EQ(sink.begins, 1);
+    EXPECT_EQ(sink.pushes, 0);
+    EXPECT_EQ(sink.flushes, 1);
+    EXPECT_EQ(sink.begun.version, 0u);
+    EXPECT_EQ(sink.begun.num_dcs, state.num_dcs());
+    EXPECT_EQ(sink.begun.masters, state.masters());
+
+    sink.flush_status = Status::Internal("replica unreachable");
+    EXPECT_FALSE(train().replica_status.ok());
+    trainer.SetReplicaSink(nullptr);
+  }
+  // Neither exit moves the session cursor.
+  EXPECT_TRUE(session.finished);
+  EXPECT_EQ(session.next_step, next_step);
 }
 
 TEST_F(TrainerTest, PartitionerAdapterRuns) {

@@ -201,6 +201,8 @@ PartitionState::PartitionState(const Graph* graph, const Topology* topology,
   edge_mask_.assign(n, 0);
   in_mask_.assign(n, 0);
   agg_.assign(static_cast<size_t>(num_dcs_) * 4, 0.0);
+  moved_bytes_.assign(num_dcs_, 0.0);
+  moved_term_.assign(num_dcs_, 0.0);
   masters_in_dc_.assign(num_dcs_, 0);
   edges_in_dc_.assign(num_dcs_, 0);
   replica_bits_.resize(num_dcs_);
@@ -265,12 +267,12 @@ void PartitionState::UpdateTopology(const Topology* topology) {
   topology_ = topology;
   RefreshPricing();
   // Placement, counters and byte aggregates do not depend on the
-  // topology; only the accumulated input-movement cost (Eq. 4) bakes in
-  // upload prices and must be re-summed.
-  move_cost_ = 0;
-  for (VertexId v = 0; v < graph_->num_vertices(); ++v) {
-    move_cost_ += MoveCostDelta(v, (*initial_locations_)[v], masters_[v]);
+  // topology; only the input-movement cost (Eq. 4) bakes in upload
+  // prices, so its per-DC terms are re-priced from the moved bytes.
+  for (DcId r = 0; r < num_dcs_; ++r) {
+    moved_term_[r] = topology_->UploadCost(r, moved_bytes_[r]);
   }
+  move_cost_ = SumMoveTerms(kNoDc, 0);
   RefreshCachedObjective();
 }
 
@@ -339,7 +341,7 @@ void PartitionState::RebuildFromPlacement() {
   double* gather_down = gather_up + num_dcs_;
   double* apply_up = gather_up + 2 * num_dcs_;
   double* apply_down = gather_up + 3 * num_dcs_;
-  move_cost_ = 0;
+  std::fill(moved_bytes_.begin(), moved_bytes_.end(), 0.0);
   for (VertexId v = 0; v < n; ++v) {
     uint64_t em = 0;
     uint64_t im = 0;
@@ -353,19 +355,31 @@ void PartitionState::RebuildFromPlacement() {
     AccumulateContribution(v, em, im, masters_[v], +1.0, gather_up,
                            gather_down, apply_up, apply_down);
     ++masters_in_dc_[masters_[v]];
-    move_cost_ += MoveCostDelta(v, (*initial_locations_)[v], masters_[v]);
+    const DcId home = (*initial_locations_)[v];
+    if (masters_[v] != home) moved_bytes_[home] += (*input_sizes_)[v];
   }
+  for (DcId r = 0; r < num_dcs_; ++r) {
+    moved_term_[r] = topology_->UploadCost(r, moved_bytes_[r]);
+  }
+  move_cost_ = SumMoveTerms(kNoDc, 0);
   RebuildReplicaBits();
   RefreshCachedObjective();
 }
 
-double PartitionState::MoveCostDelta(VertexId v, DcId old_master,
-                                     DcId new_master) const {
+double PartitionState::SumMoveTerms(DcId r, double term_r) const {
+  double sum = 0;
+  for (DcId q = 0; q < num_dcs_; ++q) {
+    sum += q == r ? term_r : moved_term_[q];
+  }
+  return sum;
+}
+
+double PartitionState::MoveCostIfAway(VertexId v, bool away) const {
   const DcId home = (*initial_locations_)[v];
-  const double moved_cost = topology_->UploadCost(home, (*input_sizes_)[v]);
-  const double old_val = (old_master != home) ? moved_cost : 0.0;
-  const double new_val = (new_master != home) ? moved_cost : 0.0;
-  return new_val - old_val;
+  if ((masters_[v] != home) == away) return move_cost_;
+  const double size = (*input_sizes_)[v];
+  const double bytes = moved_bytes_[home] + (away ? size : -size);
+  return SumMoveTerms(home, topology_->UploadCost(home, bytes));
 }
 
 void PartitionState::AccumulateContribution(
@@ -606,7 +620,16 @@ void PartitionState::CommitDeltas(EvalScratch* scratch, VertexId move_vertex,
   // Master change for the moved vertex, then re-add its contribution.
   if (has_mover) {
     const DcId old_master = masters_[move_vertex];
-    move_cost_ += MoveCostDelta(move_vertex, old_master, new_master_v);
+    const DcId home = (*initial_locations_)[move_vertex];
+    const bool away = new_master_v != home;
+    if ((old_master != home) != away) {
+      // Same operations as MoveCostIfAway, so a committed move lands on
+      // the bits its evaluation predicted.
+      const double size = (*input_sizes_)[move_vertex];
+      moved_bytes_[home] += away ? size : -size;
+      moved_term_[home] = topology_->UploadCost(home, moved_bytes_[home]);
+      move_cost_ = SumMoveTerms(home, moved_term_[home]);
+    }
     --masters_in_dc_[old_master];
     ++masters_in_dc_[new_master_v];
     masters_[move_vertex] = new_master_v;
@@ -742,10 +765,11 @@ Objective PartitionState::EvaluateDeltas(EvalScratch* scratch,
     }
   }
 
-  double mv_cost = move_cost_;
-  if (move_vertex != static_cast<VertexId>(-1)) {
-    mv_cost += MoveCostDelta(move_vertex, masters_[move_vertex], new_master_v);
-  }
+  const double mv_cost =
+      move_vertex == static_cast<VertexId>(-1)
+          ? move_cost_
+          : MoveCostIfAway(move_vertex,
+                           new_master_v != (*initial_locations_)[move_vertex]);
   return ObjectiveFromAggregates(gather_up, gather_down, apply_up, apply_down,
                                  mv_cost);
 }
@@ -885,17 +909,15 @@ void PartitionState::EvaluateDeltasAll(EvalScratch* scratch,
                 base_g, base_a, base_s, base_c);
 
   const EvalScratch::CorrNode* corr = s.corr_pool_.data();
-  const bool has_mv_cost = move_vertex != static_cast<VertexId>(-1);
-  // Hoist the Eq. 4 pieces: the per-destination delta is
-  // (to != home) * moved_cost - old_val, computed with the same
-  // grouping as MoveCostDelta.
-  DcId mv_home = 0;
-  double mv_moved_cost = 0;
-  double mv_old_val = 0;
-  if (has_mv_cost) {
+  // Hoist the Eq. 4 cost: a destination either is the mover's home DC
+  // or is not, so two values cover every destination.
+  DcId mv_home = kNoDc;
+  double mv_cost_home = move_cost_;
+  double mv_cost_away = move_cost_;
+  if (move_vertex != static_cast<VertexId>(-1)) {
     mv_home = (*initial_locations_)[move_vertex];
-    mv_moved_cost = topology_->UploadCost(mv_home, (*input_sizes_)[move_vertex]);
-    mv_old_val = (masters_[move_vertex] != mv_home) ? mv_moved_cost : 0.0;
+    mv_cost_home = MoveCostIfAway(move_vertex, false);
+    mv_cost_away = MoveCostIfAway(move_vertex, true);
   }
 
   // Running aggregate values of the dirty DCs, indexed by DC.
@@ -978,11 +1000,7 @@ void PartitionState::EvaluateDeltasAll(EvalScratch* scratch,
       smooth += ls;
       cost += lc;
     }
-    double mv_cost = move_cost_;
-    if (has_mv_cost) {
-      const double mv_new_val = (to != mv_home) ? mv_moved_cost : 0.0;
-      mv_cost += mv_new_val - mv_old_val;
-    }
+    const double mv_cost = to == mv_home ? mv_cost_home : mv_cost_away;
     out[to] = {(t_gather + t_apply) * total_activity_,
                mv_cost + cost * total_activity_,
                smooth * total_activity_};
@@ -1182,6 +1200,9 @@ bool PartitionState::CheckInvariants() const {
       const size_t idx = static_cast<size_t>(part) * num_dcs_ + r;
       expect_near(agg_[idx], fresh.agg_[idx], kAggNames[part]);
     }
+  }
+  for (DcId r = 0; r < num_dcs_; ++r) {
+    expect_near(moved_bytes_[r], fresh.moved_bytes_[r], "moved_bytes");
   }
   expect_near(move_cost_, fresh.move_cost_, "move_cost");
 

@@ -366,7 +366,15 @@ class PartitionState {
   void EvaluateDeltasAll(EvalScratch* scratch, VertexId move_vertex,
                          Objective* out) const;
 
-  double MoveCostDelta(VertexId v, DcId old_master, DcId new_master) const;
+  // Eq. 4 cost as the DC-ordered sum of the per-home-DC terms, with
+  // DC `r`'s term replaced by `term_r` (r = kNoDc sums the live terms).
+  // Every path that prices the move cost sums through here, so the
+  // cost is a function of the masters alone, not of the move order.
+  double SumMoveTerms(DcId r, double term_r) const;
+
+  // Eq. 4 cost after moving v's master away from (away = true) or back
+  // to its home DC. Bit-equal to move_cost_ when v is already there.
+  double MoveCostIfAway(VertexId v, bool away) const;
 
   void RebuildFromPlacement();
 
@@ -438,7 +446,13 @@ class PartitionState {
   // vectorizable copy.
   std::vector<double> agg_;
 
-  double move_cost_ = 0;  // Eq. 4, dollars
+  // Eq. 4 input movement, kept per home DC: the input bytes of the
+  // vertices mastered away from that home, and their priced term.
+  // Input sizes are integer or dyadic, so the byte sums are exact and
+  // independent of the order in which the moves happened.
+  std::vector<double> moved_bytes_;
+  std::vector<double> moved_term_;  // UploadCost(r, moved_bytes_[r])
+  double move_cost_ = 0;            // SumMoveTerms(kNoDc, 0), dollars
   std::vector<uint64_t> masters_in_dc_;
   std::vector<uint64_t> edges_in_dc_;
 

@@ -1,24 +1,39 @@
-#include "check/chaos.h"
+// The chaos lane (docs/robustness.md): full training sessions under
+// randomized fault schedules. One case builds a deterministic problem,
+// trains it fault-free for a reference plan, then re-trains it with a
+// seeded random FaultSchedule armed and asserts one of two acceptable
+// outcomes:
+//
+//   * masked — retries/redispatch absorbed every fault and the final
+//     masters are bit-identical to the reference, or
+//   * degraded — the result differs but CheckInvariants() is clean
+//     and the plan round-trips through Save/Load/Apply.
+//
+// Aborts, hangs, invariant violations and unloadable plans are
+// failures. Cases with seed % 3 == 0 also run the crash lane: a
+// fault-free run auto-checkpoints every step, the primary checkpoint
+// file is then corrupted, and resume must land on the last-good
+// fallback and continue to a bit-identical final plan.
+//
+// Cases with seed % 2 == 0 also run the streaming lane: an
+// RLCutSession driven over a short diurnal stream with faults armed at
+// the session.ingest_fail / session.publish_fail sites. Injected
+// failures must surface as clean Status errors; retrying the failed
+// call must converge on plans bit-identical to a fault-free streaming
+// reference.
 
-#include <unistd.h>
-
-#include <atomic>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <numeric>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "cloud/topology.h"
+#include "check/fixtures.h"
+#include "check/lane.h"
 #include "fault/fault.h"
-#include "graph/generators.h"
 #include "graph/geo.h"
 #include "graph/stream.h"
 #include "graph/temporal.h"
-#include "partition/partition_state.h"
 #include "partition/plan_io.h"
 #include "rlcut/checkpoint.h"
 #include "rlcut/session.h"
@@ -27,166 +42,54 @@ namespace rlcut {
 namespace check {
 namespace {
 
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-// Minimal SplitMix64 stream for schedule randomization; the fault
-// library itself re-derives per-hit decisions from the schedule seed,
-// so this only has to pick rules and corruption points.
-struct Rng {
-  uint64_t state;
-  explicit Rng(uint64_t seed) : state(seed) {}
-  uint64_t Next() { return Mix64(state++); }
-  uint64_t Below(uint64_t n) { return n == 0 ? 0 : Next() % n; }
-  double NextDouble() { return (Next() >> 11) * 0x1.0p-53; }
-};
-
-std::string ScratchPath(const std::string& tag) {
-  static std::atomic<uint64_t> counter{0};
-  std::ostringstream name;
-  name << "rlcut_chaos_" << ::getpid() << "_"
-       << counter.fetch_add(1, std::memory_order_relaxed) << "_" << tag;
-  return (std::filesystem::temp_directory_path() / name.str()).string();
-}
-
-void RemoveWithSidecars(const std::string& path) {
-  std::remove(path.c_str());
-  std::remove((path + ".tmp").c_str());
-  const std::string prev = CheckpointFallbackPath(path);
-  std::remove(prev.c_str());
-  std::remove((prev + ".tmp").c_str());
-}
-
-// One deterministic chaos problem; mirrors the checkpoint tests' small
-// power-law fixture but re-seeds the graph per session.
-struct Problem {
-  Topology topology;
-  Graph graph;
-  std::vector<DcId> locations;
-  std::vector<double> sizes;
-  PartitionConfig config;
-
-  Problem(const ChaosOptions& options, uint64_t seed)
-      : topology(MakeEc2Topology(options.num_dcs, Heterogeneity::kMedium)) {
-    PowerLawOptions gen;
-    gen.num_vertices = options.num_vertices;
-    gen.num_edges = options.num_edges;
-    gen.seed = seed;
-    graph = GeneratePowerLaw(gen);
-    GeoLocatorOptions geo;
-    geo.num_dcs = options.num_dcs;
-    geo.seed = seed + 101;
-    locations = AssignGeoLocations(graph, geo);
-    sizes = AssignInputSizes(graph);
-    config.model = ComputeModel::kHybridCut;
-    config.theta = PartitionState::AutoTheta(graph);
-    config.workload = Workload::PageRank();
-  }
-
-  std::unique_ptr<PartitionState> MakeState() const {
-    auto state = std::make_unique<PartitionState>(&graph, &topology,
-                                                  &locations, &sizes, config);
-    state->ResetDerived(locations);
-    return state;
-  }
-
-  std::vector<VertexId> AllVertices() const {
-    std::vector<VertexId> all(graph.num_vertices());
-    std::iota(all.begin(), all.end(), 0u);
-    return all;
-  }
-};
-
-RLCutOptions TrainerOptions(const ChaosOptions& options, uint64_t seed) {
-  RLCutOptions topts;
-  topts.max_steps = options.max_steps;
-  topts.batch_size = options.batch_size;
-  topts.num_threads = options.num_threads;
-  topts.seed = seed;
-  topts.agent_visit_budget =
-      static_cast<int64_t>(options.num_vertices) * 4;
-  // A tiny epsilon still converges on an exact plateau (relative
-  // improvement of 0.0), so sessions may legitimately stop early; the
-  // crash lane checkpoints every step to guarantee a fallback pair.
-  topts.convergence_epsilon = 1e-12;
-  return topts;
-}
-
 // A randomized-but-seeded schedule over the sites a training session
 // can hit: pool faults, trainer chunk faults, and checkpoint I/O faults
 // (the armed run auto-checkpoints, so those sites are live too).
 // plan.* rules target the armed SavePlan probe after training.
-fault::FaultSchedule RandomSchedule(uint64_t seed, Rng* rng) {
-  struct Candidate {
-    const char* site;
-    void (*fill)(fault::FaultRule*, Rng*);
-  };
-  static const Candidate kCandidates[] = {
-      {"threadpool.task_throw",
-       [](fault::FaultRule* r, Rng* g) {
-         r->probability = 0.02 + 0.18 * g->NextDouble();
-       }},
-      {"threadpool.worker_stall",
-       [](fault::FaultRule* r, Rng* g) {
-         r->probability = 0.02 + 0.1 * g->NextDouble();
-         r->amount = 5 + static_cast<int64_t>(g->Below(40));
-       }},
-      {"threadpool.worker_crash",
-       [](fault::FaultRule* r, Rng* g) {
-         r->nth = 1 + static_cast<int64_t>(g->Below(6));
-         r->max_fires = 1 + static_cast<int64_t>(g->Below(2));
-       }},
-      {"trainer.chunk_stall",
-       [](fault::FaultRule* r, Rng* g) {
-         r->probability = 0.05 + 0.2 * g->NextDouble();
-         r->amount = 5 + static_cast<int64_t>(g->Below(60));
-       }},
-      {"trainer.chunk_abandon",
-       [](fault::FaultRule* r, Rng* g) {
-         r->probability = 0.05 + 0.2 * g->NextDouble();
-       }},
-      {"checkpoint.open_fail",
-       [](fault::FaultRule* r, Rng* g) {
-         r->nth = 1 + static_cast<int64_t>(g->Below(3));
-       }},
-      {"checkpoint.short_write",
-       [](fault::FaultRule* r, Rng* g) {
-         r->probability = 0.3 + 0.5 * g->NextDouble();
-       }},
-      {"checkpoint.fsync_fail",
-       [](fault::FaultRule* r, Rng* g) {
-         r->probability = 0.3 + 0.5 * g->NextDouble();
-       }},
-      {"checkpoint.rename_fail",
-       [](fault::FaultRule* r, Rng* g) {
-         r->nth = 1 + static_cast<int64_t>(g->Below(3));
-       }},
-      {"plan.short_write", [](fault::FaultRule* r, Rng*) { r->nth = 1; }},
-      {"plan.fsync_fail", [](fault::FaultRule* r, Rng*) { r->nth = 1; }},
-      {"plan.rename_fail", [](fault::FaultRule* r, Rng*) { r->nth = 1; }},
-  };
-  constexpr size_t kNumCandidates =
-      sizeof(kCandidates) / sizeof(kCandidates[0]);
-
-  fault::FaultSchedule schedule;
-  schedule.seed = seed;
-  const size_t num_rules = 1 + rng->Below(3);
-  std::vector<bool> used(kNumCandidates, false);
-  for (size_t i = 0; i < num_rules; ++i) {
-    size_t pick = rng->Below(kNumCandidates);
-    while (used[pick]) pick = (pick + 1) % kNumCandidates;
-    used[pick] = true;
-    fault::FaultRule rule;
-    rule.site = kCandidates[pick].site;
-    kCandidates[pick].fill(&rule, rng);
-    schedule.rules.push_back(rule);
-  }
-  return schedule;
-}
+const FaultCandidate kChaosFaults[] = {
+    {"threadpool.task_throw",
+     [](fault::FaultRule* r, CounterRng* g) {
+       r->probability = 0.02 + 0.18 * g->NextDouble();
+     }},
+    {"threadpool.worker_stall",
+     [](fault::FaultRule* r, CounterRng* g) {
+       r->probability = 0.02 + 0.1 * g->NextDouble();
+       r->amount = 5 + static_cast<int64_t>(g->Below(40));
+     }},
+    {"threadpool.worker_crash",
+     [](fault::FaultRule* r, CounterRng* g) {
+       r->nth = 1 + static_cast<int64_t>(g->Below(6));
+       r->max_fires = 1 + static_cast<int64_t>(g->Below(2));
+     }},
+    {"trainer.chunk_stall",
+     [](fault::FaultRule* r, CounterRng* g) {
+       r->probability = 0.05 + 0.2 * g->NextDouble();
+       r->amount = 5 + static_cast<int64_t>(g->Below(60));
+     }},
+    {"trainer.chunk_abandon",
+     [](fault::FaultRule* r, CounterRng* g) {
+       r->probability = 0.05 + 0.2 * g->NextDouble();
+     }},
+    {"checkpoint.open_fail",
+     [](fault::FaultRule* r, CounterRng* g) {
+       r->nth = 1 + static_cast<int64_t>(g->Below(3));
+     }},
+    {"checkpoint.short_write",
+     [](fault::FaultRule* r, CounterRng* g) {
+       r->probability = 0.3 + 0.5 * g->NextDouble();
+     }},
+    {"checkpoint.fsync_fail",
+     [](fault::FaultRule* r, CounterRng* g) {
+       r->probability = 0.3 + 0.5 * g->NextDouble();
+     }},
+    {"checkpoint.rename_fail",
+     [](fault::FaultRule* r, CounterRng* g) {
+       r->nth = 1 + static_cast<int64_t>(g->Below(3));
+     }},
+    {"plan.short_write", [](fault::FaultRule* r, CounterRng*) { r->nth = 1; }},
+    {"plan.fsync_fail", [](fault::FaultRule* r, CounterRng*) { r->nth = 1; }},
+    {"plan.rename_fail", [](fault::FaultRule* r, CounterRng*) { r->nth = 1; }},
+};
 
 // Asserts the crash-consistency contract of an atomic save target: the
 // file either does not exist or loads cleanly — never a torn file.
@@ -201,30 +104,25 @@ bool CheckpointSlotIsCleanOrAbsent(const std::string& path,
 
 // The faulted lane of one session. Returns true on success and bumps
 // the masked/degraded counter; on failure appends to report->failures.
-bool RunFaultedSession(const ChaosOptions& options, const Problem& problem,
-                       uint64_t session_seed, int session_index,
-                       const std::vector<DcId>& reference,
-                       Rng* rng, ChaosReport* report) {
-  const std::string ckpt_path =
-      ScratchPath("s" + std::to_string(session_index) + ".ckpt");
-  const std::string plan_path =
-      ScratchPath("s" + std::to_string(session_index) + ".plan");
+bool RunFaultedSession(const Problem& problem, uint64_t session_seed,
+                       const std::vector<DcId>& reference, CounterRng* rng,
+                       LaneReport* report) {
+  const std::string ckpt_path = ScratchPath("chaos.ckpt");
+  const std::string plan_path = ScratchPath("chaos.plan");
   auto fail = [&](const std::string& message) {
     fault::Disarm();
-    std::ostringstream out;
-    out << "session " << session_index << " (seed " << session_seed
-        << "): " << message;
-    report->failures.push_back(out.str());
+    report->failures.push_back(message);
     RemoveWithSidecars(ckpt_path);
     RemoveWithSidecars(plan_path);
     return false;
   };
 
-  RLCutOptions topts = TrainerOptions(options, session_seed);
+  RLCutOptions topts = TrainingOptions(session_seed);
   topts.checkpoint_every_steps = 2;
   topts.checkpoint_path = ckpt_path;
 
-  const fault::FaultSchedule schedule = RandomSchedule(session_seed, rng);
+  const fault::FaultSchedule schedule =
+      RandomSchedule(session_seed, kChaosFaults, rng);
   auto state = problem.MakeState();
   AutomatonPool pool(problem.graph.num_vertices(),
                      problem.topology.num_dcs(), topts);
@@ -235,7 +133,7 @@ bool RunFaultedSession(const ChaosOptions& options, const Problem& problem,
     return fail(std::string("training escaped with an exception under [") +
                 schedule.ToSpec() + "]: " + e.what());
   }
-  report->fires += fault::TotalFires();
+  report->Add("injected fires", fault::TotalFires());
 
   // Crash-consistency of the auto-checkpoint slots, checked while the
   // checkpoint.* rules are still armed the way the run left them (load
@@ -265,7 +163,7 @@ bool RunFaultedSession(const ChaosOptions& options, const Problem& problem,
   // Outcome: bit-identical to the fault-free reference (all faults
   // masked), or degraded but valid.
   if (state->masters() == reference) {
-    ++report->masked;
+    report->Add("masked", 1);
   } else {
     if (!state->CheckInvariants()) {
       return fail("degraded result violates invariants under [" +
@@ -281,7 +179,7 @@ bool RunFaultedSession(const ChaosOptions& options, const Problem& problem,
     if (replay->masters() != state->masters()) {
       return fail("degraded plan did not round-trip bit-identically");
     }
-    ++report->degraded;
+    report->Add("degraded-valid", 1);
   }
   RemoveWithSidecars(ckpt_path);
   RemoveWithSidecars(plan_path);
@@ -292,23 +190,17 @@ bool RunFaultedSession(const ChaosOptions& options, const Problem& problem,
 // primary checkpoint and require resume to land on the fallback and
 // continue to a bit-identical final plan. Runs unarmed because armed
 // runs are not reproducible (thread timing permutes hit indices).
-bool RunCrashResumeSession(const ChaosOptions& options,
-                           const Problem& problem, uint64_t session_seed,
-                           int session_index,
-                           const std::vector<DcId>& reference, Rng* rng,
-                           ChaosReport* report) {
-  const std::string ckpt_path =
-      ScratchPath("s" + std::to_string(session_index) + "_crash.ckpt");
+bool RunCrashResumeSession(const Problem& problem, uint64_t session_seed,
+                           const std::vector<DcId>& reference,
+                           CounterRng* rng, LaneReport* report) {
+  const std::string ckpt_path = ScratchPath("chaos_crash.ckpt");
   auto fail = [&](const std::string& message) {
-    std::ostringstream out;
-    out << "session " << session_index << " crash lane (seed "
-        << session_seed << "): " << message;
-    report->failures.push_back(out.str());
+    report->failures.push_back("crash lane: " + message);
     RemoveWithSidecars(ckpt_path);
     return false;
   };
 
-  RLCutOptions topts = TrainerOptions(options, session_seed);
+  RLCutOptions topts = TrainingOptions(session_seed);
   // Checkpoint after every step: convergence can stop a session after
   // as few as two steps, and each one autosaves before the convergence
   // check runs, so a primary + fallback pair always exists.
@@ -358,7 +250,7 @@ bool RunCrashResumeSession(const ChaosOptions& options,
 
   // Continue from the last-good checkpoint on a fresh problem build;
   // the continuation must reproduce the uninterrupted final plan.
-  RLCutOptions resume_opts = TrainerOptions(options, session_seed);
+  RLCutOptions resume_opts = TrainingOptions(session_seed);
   auto state = problem.MakeState();
   AutomatonPool pool(problem.graph.num_vertices(),
                      problem.topology.num_dcs(), resume_opts);
@@ -377,7 +269,7 @@ bool RunCrashResumeSession(const ChaosOptions& options,
   if (state->masters() != reference) {
     return fail("resumed run diverged from the uninterrupted run");
   }
-  ++report->crash_resumes;
+  report->Add("crash resumes", 1);
   RemoveWithSidecars(ckpt_path);
   return true;
 }
@@ -388,32 +280,28 @@ bool RunCrashResumeSession(const ChaosOptions& options,
 // come back as clean Status errors (never aborts or torn state), and
 // retrying the failed call must converge on the reference bit-exactly:
 // both sites fail before any mutation, so a retry is a pure re-attempt.
-bool RunStreamingFaultedSession(const ChaosOptions& options,
-                                uint64_t session_seed, int session_index,
-                                Rng* rng, ChaosReport* report) {
+bool RunStreamingFaultedSession(uint64_t session_seed, CounterRng* rng,
+                                LaneReport* report) {
   auto fail = [&](const std::string& message) {
     fault::Disarm();
-    std::ostringstream out;
-    out << "session " << session_index << " streaming lane (seed "
-        << session_seed << "): " << message;
-    report->failures.push_back(out.str());
+    report->failures.push_back("streaming lane: " + message);
     return false;
   };
 
   // A small temporal problem: half the stream seeds the base graph,
   // the rest arrives in four micro-batches.
+  constexpr int kDcs = 4;
   TemporalStreamOptions stream;
-  stream.num_vertices = options.num_vertices / 2;
-  stream.num_edges = options.num_edges / 2;
+  stream.num_vertices = 96;
+  stream.num_edges = 576;
   stream.seed = session_seed;
   const TemporalGraph temporal = GenerateDiurnalStream(stream);
   const uint64_t base_count = temporal.edges().size() / 2;
   const Graph base_graph = temporal.Prefix(base_count);
   GeoLocatorOptions geo;
-  geo.num_dcs = options.num_dcs;
+  geo.num_dcs = kDcs;
   geo.seed = session_seed + 77;
-  const Topology topology =
-      MakeEc2Topology(options.num_dcs, Heterogeneity::kMedium);
+  const Topology topology = MakeEc2Topology(kDcs, Heterogeneity::kMedium);
   const std::vector<DcId> locations = AssignGeoLocations(base_graph, geo);
   const std::vector<double> sizes = AssignInputSizes(base_graph);
 
@@ -425,7 +313,7 @@ bool RunStreamingFaultedSession(const ChaosOptions& options,
   ctx.theta = PartitionState::AutoTheta(base_graph);
 
   RLCutSessionOptions sopts;
-  sopts.initial = TrainerOptions(options, session_seed);
+  sopts.initial = TrainingOptions(session_seed);
   sopts.initial.checkpoint_every_steps = 0;
   sopts.incremental = sopts.initial;
 
@@ -450,7 +338,7 @@ bool RunStreamingFaultedSession(const ChaosOptions& options,
       batches.push_back(buffer.Cut(watermark));
     }
   }
-  const MigrationBudget budget{options.num_vertices / 4, 1e9};
+  const MigrationBudget budget{48, 1e9};
 
   // One drive of the whole stream; with `armed`, every call retries
   // through injected failures (each site fails before any mutation).
@@ -545,7 +433,7 @@ bool RunStreamingFaultedSession(const ChaosOptions& options,
   std::vector<std::vector<DcId>> faulted;
   fault::Arm(schedule);
   const bool ok = drive(/*armed=*/true, &faulted, &error);
-  report->fires += fault::TotalFires();
+  report->Add("injected fires", fault::TotalFires());
   fault::Disarm();
   if (!ok) {
     return fail("under [" + schedule.ToSpec() + "]: " + error);
@@ -555,57 +443,40 @@ bool RunStreamingFaultedSession(const ChaosOptions& options,
                 "reference under [" +
                 schedule.ToSpec() + "]");
   }
-  ++report->stream_recoveries;
+  report->Add("stream recoveries", 1);
   return true;
 }
 
 }  // namespace
 
-std::string ChaosReport::Summary() const {
-  std::ostringstream out;
-  out << "chaos: " << sessions << " sessions (" << masked << " masked, "
-      << degraded << " degraded-valid, " << crash_resumes
-      << " crash resumes, " << stream_recoveries
-      << " stream recoveries), " << fires << " injected fires, "
-      << failures.size() << " failures";
-  return out.str();
-}
-
-ChaosReport RunChaos(const ChaosOptions& options) {
-  ChaosReport report;
+void RunChaosCase(uint64_t seed, LaneReport* report) {
+  for (const char* count : {"masked", "degraded-valid", "crash resumes",
+                            "stream recoveries", "injected fires"}) {
+    report->Add(count, 0);
+  }
   // Never run with a leftover schedule from the caller.
   fault::Disarm();
-  for (int s = 0; s < options.num_sessions; ++s) {
-    const uint64_t session_seed = options.seed + static_cast<uint64_t>(s);
-    Rng rng(Mix64(session_seed) ^ 0xc4a05);
-    const Problem problem(options, session_seed);
+  CounterRng rng{SplitMix64(seed) ^ 0xc4a05};
+  const Problem problem = TrainingProblem(seed);
 
-    // Fault-free reference (no checkpointing: the faulted and crash
-    // lanes must match it even though they auto-checkpoint).
-    std::vector<DcId> reference;
-    {
-      auto state = problem.MakeState();
-      AutomatonPool pool(problem.graph.num_vertices(),
-                         problem.topology.num_dcs(),
-                         TrainerOptions(options, session_seed));
-      RLCutTrainer(TrainerOptions(options, session_seed))
-          .Train(state.get(), problem.AllVertices(), &pool);
-      reference = state->masters();
-    }
-
-    ++report.sessions;
-    RunFaultedSession(options, problem, session_seed, s, reference, &rng,
-                      &report);
-    if (s % 3 == 2) {
-      RunCrashResumeSession(options, problem, session_seed, s, reference,
-                            &rng, &report);
-    }
-    if (s % 2 == 1) {
-      RunStreamingFaultedSession(options, session_seed, s, &rng, &report);
-    }
+  // Fault-free reference (no checkpointing: the faulted and crash
+  // lanes must match it even though they auto-checkpoint).
+  std::vector<DcId> reference;
+  {
+    const RLCutOptions topts = TrainingOptions(seed);
+    auto state = problem.MakeState();
+    AutomatonPool pool(problem.graph.num_vertices(),
+                       problem.topology.num_dcs(), topts);
+    RLCutTrainer(topts).Train(state.get(), problem.AllVertices(), &pool);
+    reference = state->masters();
   }
+
+  RunFaultedSession(problem, seed, reference, &rng, report);
+  if (seed % 3 == 0) {
+    RunCrashResumeSession(problem, seed, reference, &rng, report);
+  }
+  if (seed % 2 == 0) RunStreamingFaultedSession(seed, &rng, report);
   fault::Disarm();
-  return report;
 }
 
 }  // namespace check

@@ -1,56 +1,41 @@
-#include "check/differential_oracle.h"
+// The differential oracle lane ("oracle"): one case is one randomized
+// move sequence against PartitionState, which must agree *bit-exactly*
+// with a from-scratch reconstruction. Exact equality is sound (not a
+// flaky tolerance) because every instance is dyadic-exact (see
+// check/fixtures.h) and input sizes are whole GB, so every aggregate the
+// state maintains additively is an exactly representable double and
+// IEEE addition over them is exact — hence order-independent and
+// exactly reversible. See docs/correctness.md.
+//
+// The case seed picks the graph kind (seed % 3), the topology preset
+// ((seed / 3) % 3; preset 2 adds an outage schedule) and the compute
+// model ((seed / 9) % 3), so any 27 consecutive seeds cover every
+// combination. Besides incremental-vs-cold, every move runs the
+// batch-vs-single, SoA-vs-legacy and (with AVX2) SIMD-vs-scalar lanes.
 
 #include <deque>
-#include <ios>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "check/fixtures.h"
+#include "check/lane.h"
 #include "check/legacy_reference.h"
-#include "cloud/topology.h"
 #include "cloud/topology_schedule.h"
-#include "common/random.h"
 #include "partition/simd.h"
-#include "graph/generators.h"
-#include "graph/graph.h"
-#include "partition/partition_state.h"
-#include "partition/workload.h"
 
 namespace rlcut {
 namespace check {
 namespace {
 
-// ---- Dyadic-exact instance family -----------------------------------
-//
-// Every constant below is a small multiple of a power of two (or a whole
-// number of GB), which keeps all additively maintained quantities —
-// per-DC byte aggregates and the Eq. 4 move cost — on a common dyadic
-// grid far below the 2^53 exactness limit. Divisions by bandwidth and by
-// 1e9 are *not* exact, but both the incremental and the cold evaluation
-// path derive them from bit-equal aggregates through the same code, so
-// the results are bit-equal too.
-
-const double kUplinkGbps[] = {0.25, 0.5, 0.125, 1.0, 0.5, 0.25, 2.0, 0.125};
-const double kDownlinkGbps[] = {0.5, 1.0, 0.25, 2.0, 1.0, 0.5, 4.0, 0.25};
-const double kUploadPrice[] = {0.125,   0.0625, 0.25,   0.03125,
-                               0.09375, 0.5,    0.0625, 0.25};
-
-Topology MakeOracleTopology(int preset, int num_dcs) {
-  std::vector<DataCenter> dcs(num_dcs);
-  for (int r = 0; r < num_dcs; ++r) {
-    dcs[r].name = "dc" + std::to_string(r);
-    if (preset == 0) {
-      dcs[r].uplink_gbps = 0.25;
-      dcs[r].downlink_gbps = 0.5;
-      dcs[r].upload_price = 0.125;
-    } else {
-      dcs[r].uplink_gbps = kUplinkGbps[r % 8];
-      dcs[r].downlink_gbps = kDownlinkGbps[r % 8];
-      dcs[r].upload_price = kUploadPrice[r % 8];
-    }
-  }
-  return Topology(std::move(dcs));
-}
+// Instance size: small enough that the O(|E| + |V| M) cold
+// reconstruction stays cheap, big enough for multi-DC replication.
+constexpr VertexId kVertices = 96;
+constexpr uint64_t kEdges = 384;
+constexpr int kDcs = 4;
+constexpr int kMoves = 32;
+constexpr int kInvariantEvery = 16;  // CheckInvariants every N moves
+constexpr int kColdEvery = 4;        // cold-reconstruct every N moves
 
 // Outage, drift and recovery with dyadic scale factors. Bandwidth-only
 // events may use any positive factor (bandwidth enters the objective
@@ -66,68 +51,6 @@ TopologySchedule MakeOracleSchedule(Topology base, int num_dcs) {
   events.push_back({36, 0, TopologyEventKind::kPriceScale, 1, 1, 2.0});
   events.push_back({44, kAllDcs, TopologyEventKind::kRestore, 1, 1, 1});
   return TopologySchedule(std::move(base), std::move(events));
-}
-
-Workload OracleWorkload() {
-  Workload w;
-  w.name = "oracle-dyadic";
-  w.apply_base_bytes = 8;
-  w.apply_bytes_per_out_edge = 0.25;
-  w.gather_base_bytes = 4;
-  w.activity = {1.0, 0.5, 0.25, 0.25};
-  return w;
-}
-
-Graph MakeOracleGraph(int kind, VertexId n, uint64_t m, uint64_t seed) {
-  switch (kind) {
-    case 0: {
-      PowerLawOptions o;
-      o.num_vertices = n;
-      o.num_edges = m;
-      o.exponent = 2.0;
-      o.seed = seed;
-      return GeneratePowerLaw(o);
-    }
-    case 1:
-      return GenerateErdosRenyi(n, m, seed);
-    default: {
-      RmatOptions o;
-      o.num_vertices = n;
-      o.num_edges = m;
-      o.seed = seed;
-      return GenerateRmat(o);
-    }
-  }
-}
-
-// ---- Bit-level state comparison -------------------------------------
-
-std::string Hex(double x) {
-  std::ostringstream out;
-  out << std::hexfloat << x << std::defaultfloat << " (" << x << ")";
-  return out.str();
-}
-
-bool SameObjective(const Objective& a, const Objective& b) {
-  return a.transfer_seconds == b.transfer_seconds &&
-         a.cost_dollars == b.cost_dollars &&
-         a.smooth_seconds == b.smooth_seconds;
-}
-
-std::string DiffObjective(const Objective& a, const Objective& b) {
-  std::ostringstream out;
-  if (a.transfer_seconds != b.transfer_seconds) {
-    out << " transfer " << Hex(a.transfer_seconds) << " vs "
-        << Hex(b.transfer_seconds);
-  }
-  if (a.cost_dollars != b.cost_dollars) {
-    out << " cost " << Hex(a.cost_dollars) << " vs " << Hex(b.cost_dollars);
-  }
-  if (a.smooth_seconds != b.smooth_seconds) {
-    out << " smooth " << Hex(a.smooth_seconds) << " vs "
-        << Hex(b.smooth_seconds);
-  }
-  return out.str();
 }
 
 // Everything observable through the public PartitionState API.
@@ -213,324 +136,289 @@ std::string DiffSnapshots(const Snapshot& a, const Snapshot& b) {
 
 }  // namespace
 
-std::string OracleReport::Summary() const {
-  std::ostringstream out;
-  out << "differential oracle: " << sequences << " sequences, " << moves
-      << " moves, " << cold_recomputes << " cold recomputes, " << rollbacks
-      << " rollbacks, " << topology_updates << " topology updates, "
-      << invariant_checks << " invariant checks, " << batched_evals
-      << " batched evals, " << legacy_evals << " legacy evals, "
-      << simd_lane_checks << " simd lane checks, " << failures.size()
-      << " failures";
-  return out.str();
-}
+void RunOracleCase(uint64_t seed, LaneReport* report) {
+  for (const char* count :
+       {"moves", "cold recomputes", "rollbacks", "topology updates",
+        "invariant checks", "batched evals", "legacy evals",
+        "simd lane checks"}) {
+    report->Add(count, 0);
+  }
+  const int graph_kind = static_cast<int>(seed % 3);
+  const int preset = static_cast<int>((seed / 3) % 3);
+  const int model_kind = static_cast<int>((seed / 9) % 3);
+  Rng rng(seed);
 
-OracleReport RunDifferentialOracle(const OracleOptions& options) {
-  OracleReport report;
-  Rng rng(options.seed != 0 ? options.seed : 1);
-  const Workload workload = OracleWorkload();
-  const int cold_every = options.cold_every > 0 ? options.cold_every : 1;
+  const Graph graph = DyadicGraph(graph_kind, kVertices, kEdges, rng.Next());
+  const VertexId n = graph.num_vertices();
+  const EdgeId m = graph.num_edges();
 
-  const int num_models = options.include_vertex_cut ? 3 : 2;
-  for (int seq = 0; seq < options.num_sequences; ++seq) {
-    if (report.failures.size() >=
-        static_cast<size_t>(options.max_failures)) {
+  // Stable addresses for every effective topology this sequence uses;
+  // PartitionState keeps a pointer into the store.
+  std::deque<Topology> topo_store;
+  TopologySchedule schedule;
+  if (preset == 2) {
+    schedule = MakeOracleSchedule(DyadicTopology(1, kDcs), kDcs);
+    topo_store.push_back(schedule.EffectiveAt(0));
+  } else {
+    topo_store.push_back(DyadicTopology(preset, kDcs));
+  }
+  const Topology* cur_topo = &topo_store.back();
+
+  // Whole-GB input sizes: size / 1e9 divides back to an exact integer,
+  // so every Eq. 4 term is (integer) * (dyadic price) — exact.
+  std::vector<DcId> init_locs(n);
+  std::vector<double> input_sizes(n);
+  for (VertexId v = 0; v < n; ++v) {
+    init_locs[v] = static_cast<DcId>(rng.UniformInt(kDcs));
+    input_sizes[v] = static_cast<double>(1 + rng.UniformInt(8)) * 1e9;
+  }
+
+  PartitionConfig config;
+  config.workload = DyadicWorkload();
+  switch (model_kind) {
+    case 0:
+      config.model = ComputeModel::kHybridCut;
+      config.theta = PartitionState::AutoTheta(graph, 0.1);
       break;
-    }
-    const int graph_kind = seq % 3;
-    const int preset = (seq / 3) % 3;
-    const int model_kind = (seq / 9) % num_models;
+    case 1:
+      config.model = ComputeModel::kEdgeCut;
+      break;
+    default:
+      config.model = ComputeModel::kVertexCut;
+      break;
+  }
+  const bool derived = config.model != ComputeModel::kVertexCut;
 
-    const Graph graph = MakeOracleGraph(graph_kind, options.num_vertices,
-                                        options.num_edges,
-                                        options.seed + 17 * seq + 1);
-    const VertexId n = graph.num_vertices();
-    const EdgeId m = graph.num_edges();
-
-    // Stable addresses for every effective topology this sequence uses;
-    // PartitionState keeps a pointer into the store.
-    std::deque<Topology> topo_store;
-    TopologySchedule schedule;
-    if (preset == 2) {
-      schedule = MakeOracleSchedule(MakeOracleTopology(1, options.num_dcs),
-                                    options.num_dcs);
-      topo_store.push_back(schedule.EffectiveAt(0));
-    } else {
-      topo_store.push_back(MakeOracleTopology(preset, options.num_dcs));
+  PartitionState state(&graph, cur_topo, &init_locs, &input_sizes, config);
+  std::vector<DcId> masters(n);
+  for (VertexId v = 0; v < n; ++v) {
+    masters[v] = static_cast<DcId>(rng.UniformInt(kDcs));
+  }
+  if (derived) {
+    state.ResetDerived(masters);
+  } else {
+    std::vector<DcId> edge_dcs(m);
+    for (EdgeId e = 0; e < m; ++e) {
+      edge_dcs[e] = static_cast<DcId>(rng.UniformInt(kDcs));
     }
-    const Topology* cur_topo = &topo_store.back();
+    state.ResetWithPlacement(masters, edge_dcs);
+  }
 
-    // Whole-GB input sizes: size / 1e9 divides back to an exact integer,
-    // so every Eq. 4 term is (integer) * (dyadic price) — exact.
-    std::vector<DcId> init_locs(n);
-    std::vector<double> input_sizes(n);
-    for (VertexId v = 0; v < n; ++v) {
-      init_locs[v] = static_cast<DcId>(rng.UniformInt(options.num_dcs));
-      input_sizes[v] = static_cast<double>(1 + rng.UniformInt(8)) * 1e9;
-    }
+  EvalScratch scratch;
+  EvalScratch batch_scratch;
+  std::vector<Objective> batched(kDcs);
+  std::vector<Objective> batched_scalar(kDcs);
 
-    PartitionConfig config;
-    config.workload = workload;
-    switch (model_kind) {
-      case 0:
-        config.model = ComputeModel::kHybridCut;
-        config.theta = PartitionState::AutoTheta(graph, 0.1);
-        break;
-      case 1:
-        config.model = ComputeModel::kEdgeCut;
-        break;
-      default:
-        config.model = ComputeModel::kVertexCut;
-        break;
-    }
-    const bool derived = config.model != ComputeModel::kVertexCut;
+  auto fail = [&](int move, const std::string& what) {
+    std::ostringstream out;
+    out << "move " << move << " [graph=" << graph_kind << " preset=" << preset
+        << " model=" << model_kind << "]: " << what;
+    report->failures.push_back(out.str());
+  };
 
-    PartitionState state(&graph, cur_topo, &init_locs, &input_sizes,
-                         config);
-    std::vector<DcId> masters(n);
-    for (VertexId v = 0; v < n; ++v) {
-      masters[v] = static_cast<DcId>(rng.UniformInt(options.num_dcs));
+  // SoA-vs-legacy lane: the live objective against the AoS reference
+  // evaluator, bit-exact on the dyadic instances.
+  auto legacy_check = [&](int move, const char* where) {
+    const Objective live = state.CurrentObjective();
+    const Objective legacy = LegacyReferenceObjective(state);
+    report->Add("legacy evals", 1);
+    if (!SameObjective(live, legacy)) {
+      fail(move, std::string(where) + ": SoA vs legacy AoS objective:" +
+                     DiffObjective(live, legacy));
     }
+  };
+
+  // Scalar-vs-SIMD lane: re-run a batched evaluation with the
+  // vectorized finalize forced off; the elementwise lane kernels are
+  // exact IEEE operations, so the results must match bit-for-bit.
+  auto simd_check = [&](int move, const char* what, auto&& eval) {
+    if (!simd::Avx2Enabled()) return;
+    simd::SetForceScalar(true);
+    eval(batched_scalar.data());
+    simd::SetForceScalar(false);
+    report->Add("simd lane checks", 1);
+    for (DcId r = 0; r < kDcs; ++r) {
+      if (!SameObjective(batched[r], batched_scalar[r])) {
+        fail(move, std::string(what) + "[" + std::to_string(r) +
+                       "] scalar vs AVX2:" +
+                       DiffObjective(batched_scalar[r], batched[r]));
+      }
+    }
+  };
+
+  auto cold_check = [&](int move, const char* where) {
+    PartitionState fresh(&graph, cur_topo, &init_locs, &input_sizes, config);
     if (derived) {
-      state.ResetDerived(masters);
+      fresh.ResetDerived(state.masters());
     } else {
       std::vector<DcId> edge_dcs(m);
-      for (EdgeId e = 0; e < m; ++e) {
-        edge_dcs[e] = static_cast<DcId>(rng.UniformInt(options.num_dcs));
-      }
-      state.ResetWithPlacement(masters, edge_dcs);
+      for (EdgeId e = 0; e < m; ++e) edge_dcs[e] = state.edge_dc(e);
+      fresh.ResetWithPlacement(state.masters(), edge_dcs);
+    }
+    report->Add("cold recomputes", 1);
+    const Objective live = state.CurrentObjective();
+    const Objective cold = fresh.CurrentObjective();
+    if (!SameObjective(live, cold)) {
+      fail(move, std::string(where) + ": incremental vs cold objective:" +
+                     DiffObjective(live, cold));
+    }
+    if (state.MoveCost() != fresh.MoveCost()) {
+      fail(move, std::string(where) + ": incremental vs cold move cost " +
+                     Hex(state.MoveCost()) + " vs " + Hex(fresh.MoveCost()));
+    }
+    if (state.WanBytesPerIteration() != fresh.WanBytesPerIteration()) {
+      fail(move,
+           std::string(where) + ": incremental vs cold WAN bytes " +
+               Hex(state.WanBytesPerIteration()) + " vs " +
+               Hex(fresh.WanBytesPerIteration()));
+    }
+  };
+
+  for (int move = 0; move < kMoves; ++move) {
+    // Scheduled preset: re-price the live state against the effective
+    // topology every 8 moves (move index doubles as the time step).
+    if (preset == 2 && move > 0 && move % 8 == 0 &&
+        schedule.ChangedBetween(move - 8, move)) {
+      topo_store.push_back(schedule.EffectiveAt(move));
+      cur_topo = &topo_store.back();
+      state.UpdateTopology(cur_topo);
+      report->Add("topology updates", 1);
+      cold_check(move, "after UpdateTopology");
     }
 
-    EvalScratch scratch;
-    EvalScratch batch_scratch;
-    std::vector<Objective> batched(options.num_dcs);
-    std::vector<Objective> batched_scalar(options.num_dcs);
-    ++report.sequences;
+    report->Add("moves", 1);
+    const Snapshot pre = Capture(state);
 
-    auto fail = [&](int move, const std::string& what) {
-      std::ostringstream out;
-      out << "seq " << seq << " move " << move << " [graph=" << graph_kind
-          << " preset=" << preset << " model=" << model_kind
-          << "]: " << what;
-      report.failures.push_back(out.str());
-    };
+    if (derived) {
+      const VertexId v = static_cast<VertexId>(rng.UniformInt(n));
+      const DcId to = static_cast<DcId>(rng.UniformInt(kDcs));
+      const DcId from = state.master(v);
 
-    // SoA-vs-legacy lane: the live objective against the AoS reference
-    // evaluator, bit-exact on the dyadic instances.
-    auto legacy_check = [&](int move, const char* where) {
-      const Objective live = state.CurrentObjective();
-      const Objective legacy = LegacyReferenceObjective(state);
-      ++report.legacy_evals;
-      if (!SameObjective(live, legacy)) {
-        fail(move, std::string(where) + ": SoA vs legacy AoS objective:" +
-                       DiffObjective(live, legacy));
-      }
-    };
-
-    // Scalar-vs-SIMD lane: re-run a batched evaluation with the
-    // vectorized finalize forced off; the elementwise lane kernels are
-    // exact IEEE operations, so the results must match bit-for-bit.
-    auto simd_check = [&](int move, const char* what, auto&& eval) {
-      if (!simd::Avx2Enabled()) return;
-      simd::SetForceScalar(true);
-      eval(batched_scalar.data());
-      simd::SetForceScalar(false);
-      ++report.simd_lane_checks;
-      for (DcId r = 0; r < options.num_dcs; ++r) {
-        if (!SameObjective(batched[r], batched_scalar[r])) {
-          fail(move, std::string(what) + "[" + std::to_string(r) +
-                         "] scalar vs AVX2:" +
-                         DiffObjective(batched_scalar[r], batched[r]));
+      // Batch-vs-single lane: one EvaluateMoveAll against M
+      // independent EvaluateMove calls, exact on every entry (the
+      // batched path regroups only exact dyadic additions).
+      state.EvaluateMoveAll(v, &batch_scratch, batched.data());
+      report->Add("batched evals", 1);
+      simd_check(move, "EvaluateMoveAll", [&](Objective* out) {
+        state.EvaluateMoveAll(v, &batch_scratch, out);
+      });
+      for (DcId r = 0; r < kDcs; ++r) {
+        const Objective single = state.EvaluateMove(v, r, &scratch);
+        if (!SameObjective(batched[r], single)) {
+          fail(move, "EvaluateMoveAll[" + std::to_string(r) +
+                         "] vs EvaluateMove:" +
+                         DiffObjective(batched[r], single));
         }
       }
-    };
-
-    auto cold_check = [&](int move, const char* where) {
-      PartitionState fresh(&graph, cur_topo, &init_locs, &input_sizes,
-                           config);
-      if (derived) {
-        fresh.ResetDerived(state.masters());
-      } else {
-        std::vector<DcId> edge_dcs(m);
-        for (EdgeId e = 0; e < m; ++e) edge_dcs[e] = state.edge_dc(e);
-        fresh.ResetWithPlacement(state.masters(), edge_dcs);
-      }
-      ++report.cold_recomputes;
-      const Objective live = state.CurrentObjective();
-      const Objective cold = fresh.CurrentObjective();
-      if (!SameObjective(live, cold)) {
-        fail(move, std::string(where) + ": incremental vs cold objective:" +
-                       DiffObjective(live, cold));
-      }
-      if (state.MoveCost() != fresh.MoveCost()) {
-        fail(move, std::string(where) + ": incremental vs cold move cost " +
-                       Hex(state.MoveCost()) + " vs " +
-                       Hex(fresh.MoveCost()));
-      }
-      if (state.WanBytesPerIteration() != fresh.WanBytesPerIteration()) {
-        fail(move,
-             std::string(where) + ": incremental vs cold WAN bytes " +
-                 Hex(state.WanBytesPerIteration()) + " vs " +
-                 Hex(fresh.WanBytesPerIteration()));
-      }
-    };
-
-    for (int move = 0; move < options.moves_per_sequence; ++move) {
-      if (report.failures.size() >=
-          static_cast<size_t>(options.max_failures)) {
-        break;
-      }
-      // Scheduled preset: re-price the live state against the effective
-      // topology every 8 moves (move index doubles as the time step).
-      if (preset == 2 && move > 0 && move % 8 == 0 &&
-          schedule.ChangedBetween(move - 8, move)) {
-        topo_store.push_back(schedule.EffectiveAt(move));
-        cur_topo = &topo_store.back();
-        state.UpdateTopology(cur_topo);
-        ++report.topology_updates;
-        cold_check(move, "after UpdateTopology");
+      {
+        const std::string batch_diff = DiffSnapshots(pre, Capture(state));
+        if (!batch_diff.empty()) {
+          fail(move, "EvaluateMoveAll mutated state: " + batch_diff);
+        }
       }
 
-      ++report.moves;
-      const Snapshot pre = Capture(state);
+      const Objective predicted = state.EvaluateMove(v, to, &scratch);
+      const std::string eval_diff = DiffSnapshots(pre, Capture(state));
+      if (!eval_diff.empty()) {
+        fail(move, "EvaluateMove mutated state: " + eval_diff);
+      }
+      state.MoveMaster(v, to);
+      const Objective actual = state.CurrentObjective();
+      if (!SameObjective(predicted, actual)) {
+        fail(move, "EvaluateMove vs committed objective:" +
+                       DiffObjective(predicted, actual));
+      }
+      legacy_check(move, "after MoveMaster");
+      if (move % kColdEvery == 0) cold_check(move, "after MoveMaster");
+      if (rng.Bernoulli(0.5)) {
+        state.MoveMaster(v, from);
+        report->Add("rollbacks", 1);
+        const std::string diff = DiffSnapshots(pre, Capture(state));
+        if (!diff.empty()) {
+          fail(move, "rollback not bit-identical: " + diff);
+        }
+      }
+    } else {
+      const bool place_edge = rng.UniformInt(3) != 0;
+      if (place_edge) {
+        const EdgeId e = rng.UniformInt(m);
+        const DcId to = static_cast<DcId>(rng.UniformInt(kDcs));
+        const DcId old = state.edge_dc(e);
 
-      if (derived) {
-        const VertexId v = static_cast<VertexId>(rng.UniformInt(n));
-        const DcId to = static_cast<DcId>(rng.UniformInt(options.num_dcs));
-        const DcId from = state.master(v);
-
-        // Batch-vs-single lane: one EvaluateMoveAll against M
-        // independent EvaluateMove calls, exact on every entry (the
-        // batched path regroups only exact dyadic additions).
-        state.EvaluateMoveAll(v, &batch_scratch, batched.data());
-        ++report.batched_evals;
-        simd_check(move, "EvaluateMoveAll", [&](Objective* out) {
-          state.EvaluateMoveAll(v, &batch_scratch, out);
+        // Batch-vs-single lane for explicit placement.
+        state.EvaluatePlaceEdgeAll(e, &batch_scratch, batched.data());
+        report->Add("batched evals", 1);
+        simd_check(move, "EvaluatePlaceEdgeAll", [&](Objective* out) {
+          state.EvaluatePlaceEdgeAll(e, &batch_scratch, out);
         });
-        for (DcId r = 0; r < options.num_dcs; ++r) {
-          const Objective single = state.EvaluateMove(v, r, &scratch);
+        for (DcId r = 0; r < kDcs; ++r) {
+          const Objective single = state.EvaluatePlaceEdge(e, r, &scratch);
           if (!SameObjective(batched[r], single)) {
-            fail(move, "EvaluateMoveAll[" + std::to_string(r) +
-                           "] vs EvaluateMove:" +
+            fail(move, "EvaluatePlaceEdgeAll[" + std::to_string(r) +
+                           "] vs EvaluatePlaceEdge:" +
                            DiffObjective(batched[r], single));
           }
         }
         {
           const std::string batch_diff = DiffSnapshots(pre, Capture(state));
           if (!batch_diff.empty()) {
-            fail(move, "EvaluateMoveAll mutated state: " + batch_diff);
+            fail(move, "EvaluatePlaceEdgeAll mutated state: " + batch_diff);
           }
         }
 
-        const Objective predicted = state.EvaluateMove(v, to, &scratch);
+        const Objective predicted = state.EvaluatePlaceEdge(e, to, &scratch);
         const std::string eval_diff = DiffSnapshots(pre, Capture(state));
         if (!eval_diff.empty()) {
-          fail(move, "EvaluateMove mutated state: " + eval_diff);
+          fail(move, "EvaluatePlaceEdge mutated state: " + eval_diff);
         }
-        state.MoveMaster(v, to);
+        state.PlaceEdge(e, to);
         const Objective actual = state.CurrentObjective();
         if (!SameObjective(predicted, actual)) {
-          fail(move, "EvaluateMove vs committed objective:" +
+          fail(move, "EvaluatePlaceEdge vs committed objective:" +
                          DiffObjective(predicted, actual));
         }
-        legacy_check(move, "after MoveMaster");
-        if (move % cold_every == 0) cold_check(move, "after MoveMaster");
-        if (rng.Bernoulli(0.5)) {
-          state.MoveMaster(v, from);
-          ++report.rollbacks;
+        legacy_check(move, "after PlaceEdge");
+        if (move % kColdEvery == 0) cold_check(move, "after PlaceEdge");
+        if (old != kNoDc && rng.Bernoulli(0.5)) {
+          state.PlaceEdge(e, old);
+          report->Add("rollbacks", 1);
           const std::string diff = DiffSnapshots(pre, Capture(state));
           if (!diff.empty()) {
-            fail(move, "rollback not bit-identical: " + diff);
+            fail(move, "PlaceEdge rollback not bit-identical: " + diff);
           }
         }
       } else {
-        const bool place_edge = rng.UniformInt(3) != 0;
-        if (place_edge) {
-          const EdgeId e = rng.UniformInt(m);
-          const DcId to =
-              static_cast<DcId>(rng.UniformInt(options.num_dcs));
-          const DcId old = state.edge_dc(e);
-
-          // Batch-vs-single lane for explicit placement.
-          state.EvaluatePlaceEdgeAll(e, &batch_scratch, batched.data());
-          ++report.batched_evals;
-          simd_check(move, "EvaluatePlaceEdgeAll", [&](Objective* out) {
-            state.EvaluatePlaceEdgeAll(e, &batch_scratch, out);
-          });
-          for (DcId r = 0; r < options.num_dcs; ++r) {
-            const Objective single = state.EvaluatePlaceEdge(e, r, &scratch);
-            if (!SameObjective(batched[r], single)) {
-              fail(move, "EvaluatePlaceEdgeAll[" + std::to_string(r) +
-                             "] vs EvaluatePlaceEdge:" +
-                             DiffObjective(batched[r], single));
-            }
+        const VertexId v = static_cast<VertexId>(rng.UniformInt(n));
+        const DcId to = static_cast<DcId>(rng.UniformInt(kDcs));
+        const DcId from = state.master(v);
+        state.SetMaster(v, to);
+        legacy_check(move, "after SetMaster");
+        if (move % kColdEvery == 0) cold_check(move, "after SetMaster");
+        if (rng.Bernoulli(0.5)) {
+          state.SetMaster(v, from);
+          report->Add("rollbacks", 1);
+          const std::string diff = DiffSnapshots(pre, Capture(state));
+          if (!diff.empty()) {
+            fail(move, "SetMaster rollback not bit-identical: " + diff);
           }
-          {
-            const std::string batch_diff =
-                DiffSnapshots(pre, Capture(state));
-            if (!batch_diff.empty()) {
-              fail(move, "EvaluatePlaceEdgeAll mutated state: " + batch_diff);
-            }
-          }
-
-          const Objective predicted =
-              state.EvaluatePlaceEdge(e, to, &scratch);
-          const std::string eval_diff = DiffSnapshots(pre, Capture(state));
-          if (!eval_diff.empty()) {
-            fail(move, "EvaluatePlaceEdge mutated state: " + eval_diff);
-          }
-          state.PlaceEdge(e, to);
-          const Objective actual = state.CurrentObjective();
-          if (!SameObjective(predicted, actual)) {
-            fail(move, "EvaluatePlaceEdge vs committed objective:" +
-                           DiffObjective(predicted, actual));
-          }
-          legacy_check(move, "after PlaceEdge");
-          if (move % cold_every == 0) cold_check(move, "after PlaceEdge");
-          if (old != kNoDc && rng.Bernoulli(0.5)) {
-            state.PlaceEdge(e, old);
-            ++report.rollbacks;
-            const std::string diff = DiffSnapshots(pre, Capture(state));
-            if (!diff.empty()) {
-              fail(move, "PlaceEdge rollback not bit-identical: " + diff);
-            }
-          }
-        } else {
-          const VertexId v = static_cast<VertexId>(rng.UniformInt(n));
-          const DcId to =
-              static_cast<DcId>(rng.UniformInt(options.num_dcs));
-          const DcId from = state.master(v);
-          state.SetMaster(v, to);
-          legacy_check(move, "after SetMaster");
-          if (move % cold_every == 0) cold_check(move, "after SetMaster");
-          if (rng.Bernoulli(0.5)) {
-            state.SetMaster(v, from);
-            ++report.rollbacks;
-            const std::string diff = DiffSnapshots(pre, Capture(state));
-            if (!diff.empty()) {
-              fail(move, "SetMaster rollback not bit-identical: " + diff);
-            }
-          }
-        }
-      }
-
-      if (options.invariant_every > 0 &&
-          move % options.invariant_every == options.invariant_every - 1) {
-        ++report.invariant_checks;
-        if (!state.CheckInvariants()) {
-          fail(move, "CheckInvariants failed");
         }
       }
     }
 
-    // Sequence postcondition: the surviving state is fully consistent.
-    ++report.invariant_checks;
-    if (!state.CheckInvariants()) {
-      fail(options.moves_per_sequence, "final CheckInvariants failed");
+    if (move % kInvariantEvery == kInvariantEvery - 1) {
+      report->Add("invariant checks", 1);
+      if (!state.CheckInvariants()) {
+        fail(move, "CheckInvariants failed");
+      }
     }
-    cold_check(options.moves_per_sequence, "sequence end");
   }
-  return report;
+
+  // Sequence postcondition: the surviving state is fully consistent.
+  report->Add("invariant checks", 1);
+  if (!state.CheckInvariants()) {
+    fail(kMoves, "final CheckInvariants failed");
+  }
+  cold_check(kMoves, "sequence end");
 }
 
 }  // namespace check

@@ -1,19 +1,17 @@
 #include "check/fuzz.h"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "check/fixtures.h"
+#include "check/lane.h"
 #include "cloud/topology.h"
 #include "cloud/topology_schedule.h"
 #include "common/random.h"
@@ -30,15 +28,6 @@ namespace check {
 namespace {
 
 // ---- Scratch files ---------------------------------------------------
-
-std::string ScratchPath() {
-  static std::atomic<uint64_t> counter{0};
-  const uint64_t id = counter.fetch_add(1);
-  return (std::filesystem::temp_directory_path() /
-          ("rlcut_fuzz_" + std::to_string(::getpid()) + "_" +
-           std::to_string(id)))
-      .string();
-}
 
 Status WriteBytes(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -413,7 +402,7 @@ std::string RlgBytes(bool ordered) {
   builder.AddEdge(4, 5);
   builder.AddEdge(5, 0);
   const Graph g = std::move(builder).Build();
-  const std::string path = ScratchPath();
+  const std::string path = ScratchPath("fuzz");
   Status saved;
   if (ordered) {
     const VertexPermutation perm = DegreeDescendingOrder(g);
@@ -817,7 +806,7 @@ Status LoadOnce(LoaderKind kind, const std::string& path) {
       Result<TrainerCheckpoint> loaded = LoadTrainerCheckpoint(path);
       if (!loaded.ok()) return loaded.status();
       // Round-trip: what the loader accepts, the saver must reproduce.
-      const std::string copy = ScratchPath();
+      const std::string copy = ScratchPath("fuzz");
       Status save = SaveTrainerCheckpoint(*loaded, copy);
       if (!save.ok()) return Status::Internal(save.message());
       Result<TrainerCheckpoint> again = LoadTrainerCheckpoint(copy);
@@ -839,7 +828,7 @@ Status LoadOnce(LoaderKind kind, const std::string& path) {
     case LoaderKind::kPlan: {
       Result<PartitionPlan> loaded = LoadPlan(path);
       if (!loaded.ok()) return loaded.status();
-      const std::string copy = ScratchPath();
+      const std::string copy = ScratchPath("fuzz");
       Status save = SavePlan(*loaded, copy);
       if (!save.ok()) return Status::Internal(save.message());
       Result<PartitionPlan> again = LoadPlan(copy);
@@ -871,7 +860,7 @@ Status LoadOnce(LoaderKind kind, const std::string& path) {
       if (!loaded.ok()) return loaded.status();
       // Round-trip: re-save the mapped graph and reload; the dual CSR
       // must survive byte-identically in structure.
-      const std::string copy = ScratchPath();
+      const std::string copy = ScratchPath("fuzz");
       const Graph& g = loaded->graph();
       Status save = SaveRlgGraph(g, copy);
       if (!save.ok()) return Status::Internal(save.message());
@@ -943,117 +932,118 @@ std::vector<CorpusCase> BuildSeedCorpus(LoaderKind kind) {
 
 Status RunLoaderOnBytes(LoaderKind kind, const std::string& bytes) {
   if (kind == LoaderKind::kNetFrame) return NetFrameLoadOnce(bytes);
-  const std::string path = ScratchPath();
+  const std::string path = ScratchPath("fuzz");
   if (Status s = WriteBytes(path, bytes); !s.ok()) return s;
   Status result = LoadOnce(kind, path);
   std::remove(path.c_str());
   return result;
 }
 
-std::string FuzzReport::Summary() const {
-  std::ostringstream out;
-  out << cases << " cases, " << accepted << " accepted, " << rejected
-      << " rejected, " << failures.size() << " failures";
-  return out.str();
+namespace {
+
+// Each loader's seed corpus, built once per process (indexed by kind;
+// kAllLoaders lists the kinds in enum order).
+const std::vector<CorpusCase>& SeedCorpus(LoaderKind kind) {
+  static const std::vector<std::vector<CorpusCase>> corpora = [] {
+    std::vector<std::vector<CorpusCase>> all;
+    for (LoaderKind k : kAllLoaders) all.push_back(BuildSeedCorpus(k));
+    return all;
+  }();
+  return corpora[static_cast<size_t>(kind)];
 }
 
-FuzzReport ReplayCorpus(LoaderKind kind) {
-  FuzzReport report;
-  for (const CorpusCase& c : BuildSeedCorpus(kind)) {
-    ++report.cases;
+}  // namespace
+
+void ReplayCorpus(LoaderKind kind, LaneReport* report) {
+  for (const char* count : {"inputs", "accepted", "rejected"}) {
+    report->Add(count, 0);
+  }
+  for (const CorpusCase& c : SeedCorpus(kind)) {
+    report->Add("inputs", 1);
     const Status status = RunLoaderOnBytes(kind, c.bytes);
-    if (status.ok()) {
-      ++report.accepted;
-    } else {
-      ++report.rejected;
-    }
+    report->Add(status.ok() ? "accepted" : "rejected", 1);
     if (status.ok() != c.expect_ok) {
       std::ostringstream out;
       out << LoaderName(kind) << " corpus case '" << c.name << "': expected "
           << (c.expect_ok ? "accept" : "reject") << ", got "
           << (status.ok() ? "accept" : "reject: " + status.message());
-      report.failures.push_back(out.str());
+      report->failures.push_back(out.str());
     }
   }
-  return report;
 }
 
-FuzzReport RunLoaderFuzz(LoaderKind kind, int iterations, uint64_t seed) {
-  FuzzReport report;
-  const std::vector<CorpusCase> corpus = BuildSeedCorpus(kind);
-  if (corpus.empty()) return report;
-  Rng rng(seed != 0 ? seed : 1);
+void FuzzLoader(LoaderKind kind, uint64_t seed, LaneReport* report) {
+  report->Add("accepted", 0);
+  report->Add("rejected", 0);
+  const std::vector<CorpusCase>& corpus = SeedCorpus(kind);
+  if (corpus.empty()) return;
+  Rng rng(seed);
   const uint64_t kInterestingInts[] = {
       0,          1,          0x7f,       0xff,        1ull << 31,
       1ull << 32, 1ull << 40, 1ull << 56, ~0ull,       ~0ull >> 1};
 
-  for (int iter = 0; iter < iterations; ++iter) {
-    std::string bytes = corpus[rng.UniformInt(corpus.size())].bytes;
-    const int num_mutations = 1 + static_cast<int>(rng.UniformInt(3));
-    for (int mi = 0; mi < num_mutations && !bytes.empty(); ++mi) {
-      switch (rng.UniformInt(4)) {
-        case 0:  // truncate
-          bytes.resize(rng.UniformInt(bytes.size() + 1));
-          break;
-        case 1: {  // bit flip
-          const size_t pos = rng.UniformInt(bytes.size());
-          bytes[pos] = static_cast<char>(
-              static_cast<unsigned char>(bytes[pos]) ^
-              (1u << rng.UniformInt(8)));
-          break;
-        }
-        case 2: {  // splice a chunk from another seed
-          const std::string& donor =
-              corpus[rng.UniformInt(corpus.size())].bytes;
-          if (donor.empty()) break;
-          const size_t src = rng.UniformInt(donor.size());
-          const size_t len =
-              1 + rng.UniformInt(std::min<size_t>(donor.size() - src, 16));
-          const size_t dst = rng.UniformInt(bytes.size());
-          bytes.replace(dst, std::min(len, bytes.size() - dst),
-                        donor.substr(src, len));
-          break;
-        }
-        default: {  // overwrite with an interesting integer
-          if (bytes.size() < sizeof(uint64_t)) break;
-          const uint64_t value =
-              kInterestingInts[rng.UniformInt(std::size(kInterestingInts))];
-          const size_t pos =
-              rng.UniformInt(bytes.size() - sizeof(uint64_t) + 1);
-          std::memcpy(bytes.data() + pos, &value, sizeof(value));
-          break;
-        }
+  std::string bytes = corpus[rng.UniformInt(corpus.size())].bytes;
+  const int num_mutations = 1 + static_cast<int>(rng.UniformInt(3));
+  for (int mi = 0; mi < num_mutations && !bytes.empty(); ++mi) {
+    switch (rng.UniformInt(4)) {
+      case 0:  // truncate
+        bytes.resize(rng.UniformInt(bytes.size() + 1));
+        break;
+      case 1: {  // bit flip
+        const size_t pos = rng.UniformInt(bytes.size());
+        bytes[pos] = static_cast<char>(
+            static_cast<unsigned char>(bytes[pos]) ^ (1u << rng.UniformInt(8)));
+        break;
       }
-    }
-    // Half the checkpoint / .rlg mutants get a valid checksum so
-    // mutations reach the payload / section validators instead of dying
-    // at the checksum gate.
-    if (kind == LoaderKind::kCheckpoint && rng.Bernoulli(0.5)) {
-      RefixCheckpointChecksum(&bytes);
-    }
-    if (kind == LoaderKind::kRlgGraph && rng.Bernoulli(0.5)) {
-      RefixRlgHeaderChecksum(&bytes);
-    }
-    if (kind == LoaderKind::kNetFrame && rng.Bernoulli(0.5)) {
-      RefixNetFrameChecksums(&bytes);
-    }
-    ++report.cases;
-    // The invariant under fuzzing: a clean Status either way — never a
-    // crash, never an allocation bomb, and accepted inputs round-trip.
-    const Status status = RunLoaderOnBytes(kind, bytes);
-    if (status.ok()) {
-      ++report.accepted;
-    } else {
-      ++report.rejected;
-      if (status.code() == StatusCode::kInternal) {
-        std::ostringstream out;
-        out << LoaderName(kind) << " fuzz iter " << iter << " (seed "
-            << seed << "): " << status.message();
-        report.failures.push_back(out.str());
+      case 2: {  // splice a chunk from another seed
+        const std::string& donor = corpus[rng.UniformInt(corpus.size())].bytes;
+        if (donor.empty()) break;
+        const size_t src = rng.UniformInt(donor.size());
+        const size_t len =
+            1 + rng.UniformInt(std::min<size_t>(donor.size() - src, 16));
+        const size_t dst = rng.UniformInt(bytes.size());
+        bytes.replace(dst, std::min(len, bytes.size() - dst),
+                      donor.substr(src, len));
+        break;
+      }
+      default: {  // overwrite with an interesting integer
+        if (bytes.size() < sizeof(uint64_t)) break;
+        const uint64_t value =
+            kInterestingInts[rng.UniformInt(std::size(kInterestingInts))];
+        const size_t pos = rng.UniformInt(bytes.size() - sizeof(uint64_t) + 1);
+        std::memcpy(bytes.data() + pos, &value, sizeof(value));
+        break;
       }
     }
   }
-  return report;
+  // Half the checkpoint / .rlg / net-frame mutants get a valid checksum
+  // so mutations reach the payload / section validators instead of
+  // dying at the checksum gate.
+  if (kind == LoaderKind::kCheckpoint && rng.Bernoulli(0.5)) {
+    RefixCheckpointChecksum(&bytes);
+  }
+  if (kind == LoaderKind::kRlgGraph && rng.Bernoulli(0.5)) {
+    RefixRlgHeaderChecksum(&bytes);
+  }
+  if (kind == LoaderKind::kNetFrame && rng.Bernoulli(0.5)) {
+    RefixNetFrameChecksums(&bytes);
+  }
+  // The invariant under fuzzing: a clean Status either way — never a
+  // crash, never an allocation bomb, and accepted inputs round-trip.
+  const Status status = RunLoaderOnBytes(kind, bytes);
+  report->Add(status.ok() ? "accepted" : "rejected", 1);
+  if (status.code() == StatusCode::kInternal) {
+    report->failures.push_back(std::string(LoaderName(kind)) + ": " +
+                               status.message());
+  }
+}
+
+void RunCorpusCase(uint64_t /*seed*/, LaneReport* report) {
+  for (LoaderKind kind : kAllLoaders) ReplayCorpus(kind, report);
+}
+
+void RunFuzzCase(uint64_t seed, LaneReport* report) {
+  FuzzLoader(kAllLoaders[seed % std::size(kAllLoaders)], seed, report);
 }
 
 }  // namespace check

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "check/lane.h"
 #include "common/status.h"
 
 namespace rlcut {
@@ -19,6 +20,10 @@ enum class LoaderKind {
   kNetFrame,     // FrameDecoder + replica protocol payloads ("RLNF"
                  // wire stream; bytes are fed directly, not via a file)
 };
+
+inline constexpr LoaderKind kAllLoaders[] = {
+    LoaderKind::kCheckpoint, LoaderKind::kPlan, LoaderKind::kNetSchedule,
+    LoaderKind::kRlgGraph, LoaderKind::kNetFrame};
 
 const char* LoaderName(LoaderKind kind);
 
@@ -40,26 +45,18 @@ std::vector<CorpusCase> BuildSeedCorpus(LoaderKind kind);
 /// value through save+load and reports a mismatch as kInternal.
 Status RunLoaderOnBytes(LoaderKind kind, const std::string& bytes);
 
-struct FuzzReport {
-  uint64_t cases = 0;
-  uint64_t accepted = 0;
-  uint64_t rejected = 0;
-  std::vector<std::string> failures;
+/// Replays the seed corpus and checks every accept/reject expectation
+/// (counts "inputs", "accepted", "rejected").
+void ReplayCorpus(LoaderKind kind, LaneReport* report);
 
-  bool ok() const { return failures.empty(); }
-  std::string Summary() const;
-};
-
-/// Replays the seed corpus and checks every accept/reject expectation.
-FuzzReport ReplayCorpus(LoaderKind kind);
-
-/// Deterministic structure-aware fuzzing: mutates corpus seeds
-/// (truncate / bit-flip / splice / integer overwrite; checkpoint
-/// mutants get their checksum re-fixed half the time so mutations reach
-/// the payload decoder) and feeds them to the loader. The invariant is
-/// "clean Status or clean accept, never a crash or an allocation bomb";
-/// accepted inputs are additionally round-trip checked.
-FuzzReport RunLoaderFuzz(LoaderKind kind, int iterations, uint64_t seed);
+/// One deterministic structure-aware fuzz input, derived from `seed`
+/// alone: mutates corpus seeds (truncate / bit-flip / splice / integer
+/// overwrite; checksummed formats get their checksums re-fixed half the
+/// time so mutations reach the payload decoder) and feeds the result to
+/// the loader. The invariant is "clean Status or clean accept, never a
+/// crash or an allocation bomb"; accepted inputs are additionally
+/// round-trip checked.
+void FuzzLoader(LoaderKind kind, uint64_t seed, LaneReport* report);
 
 }  // namespace check
 }  // namespace rlcut

@@ -1,95 +1,50 @@
-#include "check/net_oracle.h"
+// The net lane (docs/distributed.md): full training sessions feeding a
+// remote PlanReplica through the src/net transport, under randomized
+// fault schedules over the net.* sites (connect failures, send
+// failures, recv timeouts, frame corruption, disconnects).
+//
+// One case trains the same seeded problem twice — once without a sink
+// for the reference masters, once against a ReplicaServer behind a
+// FlakyPipe (real TCP loopback when seed % 4 == 0) — and asserts:
+//
+//   * the trainer's own trajectory is bit-identical to the reference
+//     (the sink is write-only; no fault may leak into training), and
+//   * the run ends in one of exactly two states: the remote replica
+//     is bit-identical to the trainer's final masters with an OK
+//     replica_status (faults masked by retry/reconnect/resync), or
+//     replica_status is a clean non-OK Status (fail closed). A crash,
+//     hang, or OK-status-with-divergent-replica is a failure.
+//
+// Cases with seed % 3 == 0 also run the kill/restart lane with no
+// faults armed: mid-run, the server is killed and replaced by a fresh
+// empty one (as a restarted worker process would be). The client must
+// detect the version gap at the handshake and heal via snapshot resync
+// to a bit-identical replica with an OK status — that lane accepts
+// nothing weaker.
+//
+// Which faults fire, and so the outcome counts and the fire count,
+// depends on thread timing; the case's pass/fail contract does not.
 
 #include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <numeric>
-#include <sstream>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "cloud/topology.h"
+#include "check/fixtures.h"
+#include "check/lane.h"
 #include "common/logging.h"
 #include "fault/fault.h"
-#include "graph/generators.h"
-#include "graph/geo.h"
 #include "net/replica_service.h"
 #include "net/transport.h"
-#include "partition/partition_state.h"
-#include "rlcut/trainer.h"
 
 namespace rlcut {
 namespace check {
 namespace {
-
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-struct Rng {
-  uint64_t state;
-  explicit Rng(uint64_t seed) : state(seed) {}
-  uint64_t Next() { return Mix64(state++); }
-  uint64_t Below(uint64_t n) { return n == 0 ? 0 : Next() % n; }
-  double NextDouble() { return (Next() >> 11) * 0x1.0p-53; }
-};
-
-// Same small power-law fixture as the chaos lane.
-struct Problem {
-  Topology topology;
-  Graph graph;
-  std::vector<DcId> locations;
-  std::vector<double> sizes;
-  PartitionConfig config;
-
-  Problem(const NetOracleOptions& options, uint64_t seed)
-      : topology(MakeEc2Topology(options.num_dcs, Heterogeneity::kMedium)) {
-    PowerLawOptions gen;
-    gen.num_vertices = options.num_vertices;
-    gen.num_edges = options.num_edges;
-    gen.seed = seed;
-    graph = GeneratePowerLaw(gen);
-    GeoLocatorOptions geo;
-    geo.num_dcs = options.num_dcs;
-    geo.seed = seed + 101;
-    locations = AssignGeoLocations(graph, geo);
-    sizes = AssignInputSizes(graph);
-    config.model = ComputeModel::kHybridCut;
-    config.theta = PartitionState::AutoTheta(graph);
-    config.workload = Workload::PageRank();
-  }
-
-  std::unique_ptr<PartitionState> MakeState() const {
-    auto state = std::make_unique<PartitionState>(&graph, &topology,
-                                                  &locations, &sizes, config);
-    state->ResetDerived(locations);
-    return state;
-  }
-
-  std::vector<VertexId> AllVertices() const {
-    std::vector<VertexId> all(graph.num_vertices());
-    std::iota(all.begin(), all.end(), 0u);
-    return all;
-  }
-};
-
-RLCutOptions TrainerOptions(const NetOracleOptions& options, uint64_t seed) {
-  RLCutOptions topts;
-  topts.max_steps = options.max_steps;
-  topts.batch_size = options.batch_size;
-  topts.num_threads = options.num_threads;
-  topts.seed = seed;
-  topts.agent_visit_budget =
-      static_cast<int64_t>(options.num_vertices) * 4;
-  topts.convergence_epsilon = 1e-12;
-  return topts;
-}
 
 net::ReplicaClientOptions ClientOptions(uint64_t seed) {
   net::ReplicaClientOptions copts;
@@ -107,6 +62,10 @@ net::ReplicaClientOptions ClientOptions(uint64_t seed) {
 // Hosts a ReplicaServer behind either FlakyPipe connections or a real
 // TCP listener, serving sequential connections on one background
 // thread — the in-process stand-in for the rlcut_replica worker.
+// Transports and the listener are single-threaded, so only the loop
+// thread touches them: other threads ask it to drop a connection
+// (drop_) or to exit (stop_), and the listener is closed after the
+// loop thread has been joined.
 class ServerHost {
  public:
   explicit ServerHost(bool use_tcp) : use_tcp_(use_tcp) {
@@ -124,14 +83,14 @@ class ServerHost {
   }
 
   ~ServerHost() {
-    stop_.store(true, std::memory_order_relaxed);
     {
       std::unique_lock<std::mutex> lock(mu_);
-      if (active_ != nullptr) active_->Close();
-      if (listener_ != nullptr) listener_->Close();
+      stop_.store(true, std::memory_order_relaxed);
+      drop_.store(true, std::memory_order_relaxed);
       cv_.notify_all();
     }
     thread_.join();
+    if (listener_ != nullptr) listener_->Close();
   }
 
   net::ReplicaClient::Connector Connector() {
@@ -162,12 +121,17 @@ class ServerHost {
   // The kill/restart lane: drop the live connection and replace the
   // server with a fresh empty one, exactly as a worker process restart
   // would. The client must detect the version gap and snapshot-resync.
+  // Returns once the loop thread has closed the connection (it polls
+  // drop_ between frames, at least every idle timeout).
   void KillAndRestartServer() {
     std::unique_lock<std::mutex> lock(mu_);
-    if (active_ != nullptr) active_->Close();
     net::ReplicaServerOptions sopts;
     sopts.idle_timeout_ms = 20;
     server_ = std::make_shared<net::ReplicaServer>(sopts);
+    if (serving_) {
+      drop_.store(true, std::memory_order_relaxed);
+      cv_.wait(lock, [this] { return !serving_; });
+    }
   }
 
   std::shared_ptr<net::ReplicaServer> server() {
@@ -183,7 +147,7 @@ class ServerHost {
         if (stop_.load(std::memory_order_relaxed)) return;
         Result<std::unique_ptr<net::Transport>> accepted =
             listener_->Accept(20);
-        if (!accepted.ok()) continue;  // Timeout or closing listener.
+        if (!accepted.ok()) continue;  // Timeout: re-check stop_.
         conn = std::move(accepted.value());
       } else {
         std::unique_lock<std::mutex> lock(mu_);
@@ -198,15 +162,20 @@ class ServerHost {
       std::shared_ptr<net::ReplicaServer> server;
       {
         std::unique_lock<std::mutex> lock(mu_);
+        if (stop_.load(std::memory_order_relaxed)) return;
         server = server_;
-        active_ = conn.get();
+        serving_ = true;
+        drop_.store(false, std::memory_order_relaxed);
       }
-      // Serve to EOF; errors (injected corruption, disconnects) just
-      // end this connection — the client reconnects and resyncs.
-      server->ServeConnection(conn.get(), &stop_);
+      // Serve to EOF or a drop request; errors (injected corruption,
+      // disconnects) just end this connection — the client reconnects
+      // and resyncs.
+      server->ServeConnection(conn.get(), &drop_);
+      conn.reset();
       {
         std::unique_lock<std::mutex> lock(mu_);
-        active_ = nullptr;
+        serving_ = false;
+        cv_.notify_all();
       }
     }
   }
@@ -218,8 +187,9 @@ class ServerHost {
   std::condition_variable cv_;
   std::deque<std::unique_ptr<net::Transport>> pending_;
   std::shared_ptr<net::ReplicaServer> server_;
-  net::Transport* active_ = nullptr;
-  std::atomic<bool> stop_{false};
+  bool serving_ = false;           // guarded by mu_
+  std::atomic<bool> drop_{false};  // end the current connection
+  std::atomic<bool> stop_{false};  // exit the loop
 };
 
 // A pass-through sink that triggers a server kill/restart right before
@@ -250,55 +220,32 @@ class KillAtPushSink : public ReplicaSink {
 // 1-3 random rules over the net.* sites. recv_timeout and disconnect
 // get bounded fire counts so a worst-case draw cannot park every
 // round-trip on its timeout for the whole session.
-fault::FaultSchedule RandomNetSchedule(uint64_t seed, Rng* rng) {
-  struct Candidate {
-    const char* site;
-    void (*fill)(fault::FaultRule*, Rng*);
-  };
-  static const Candidate kCandidates[] = {
-      {"net.connect_fail",
-       [](fault::FaultRule* r, Rng* g) {
-         r->probability = 0.1 + 0.4 * g->NextDouble();
-         r->max_fires = 1 + static_cast<int64_t>(g->Below(6));
-       }},
-      {"net.send_fail",
-       [](fault::FaultRule* r, Rng* g) {
-         r->probability = 0.05 + 0.25 * g->NextDouble();
-       }},
-      {"net.recv_timeout",
-       [](fault::FaultRule* r, Rng* g) {
-         r->probability = 0.05 + 0.25 * g->NextDouble();
-         r->max_fires = 1 + static_cast<int64_t>(g->Below(8));
-       }},
-      {"net.frame_corrupt",
-       [](fault::FaultRule* r, Rng* g) {
-         r->probability = 0.05 + 0.25 * g->NextDouble();
-         r->amount = static_cast<int64_t>(g->Below(64));
-       }},
-      {"net.disconnect",
-       [](fault::FaultRule* r, Rng* g) {
-         r->probability = 0.02 + 0.13 * g->NextDouble();
-         r->max_fires = 1 + static_cast<int64_t>(g->Below(4));
-       }},
-  };
-  constexpr size_t kNumCandidates =
-      sizeof(kCandidates) / sizeof(kCandidates[0]);
-
-  fault::FaultSchedule schedule;
-  schedule.seed = seed;
-  const size_t num_rules = 1 + rng->Below(3);
-  std::vector<bool> used(kNumCandidates, false);
-  for (size_t i = 0; i < num_rules; ++i) {
-    size_t pick = rng->Below(kNumCandidates);
-    while (used[pick]) pick = (pick + 1) % kNumCandidates;
-    used[pick] = true;
-    fault::FaultRule rule;
-    rule.site = kCandidates[pick].site;
-    kCandidates[pick].fill(&rule, rng);
-    schedule.rules.push_back(rule);
-  }
-  return schedule;
-}
+const FaultCandidate kNetFaults[] = {
+    {"net.connect_fail",
+     [](fault::FaultRule* r, CounterRng* g) {
+       r->probability = 0.1 + 0.4 * g->NextDouble();
+       r->max_fires = 1 + static_cast<int64_t>(g->Below(6));
+     }},
+    {"net.send_fail",
+     [](fault::FaultRule* r, CounterRng* g) {
+       r->probability = 0.05 + 0.25 * g->NextDouble();
+     }},
+    {"net.recv_timeout",
+     [](fault::FaultRule* r, CounterRng* g) {
+       r->probability = 0.05 + 0.25 * g->NextDouble();
+       r->max_fires = 1 + static_cast<int64_t>(g->Below(8));
+     }},
+    {"net.frame_corrupt",
+     [](fault::FaultRule* r, CounterRng* g) {
+       r->probability = 0.05 + 0.25 * g->NextDouble();
+       r->amount = static_cast<int64_t>(g->Below(64));
+     }},
+    {"net.disconnect",
+     [](fault::FaultRule* r, CounterRng* g) {
+       r->probability = 0.02 + 0.13 * g->NextDouble();
+       r->max_fires = 1 + static_cast<int64_t>(g->Below(4));
+     }},
+};
 
 // One training run against a hosted server. Returns through the out
 // params; never throws (Train's net path is Status-based throughout).
@@ -343,113 +290,101 @@ bool ServerMatches(const RunOutcome& outcome) {
 
 }  // namespace
 
-std::string NetOracleReport::Summary() const {
-  std::ostringstream out;
-  out << "net: " << sessions << " sessions (" << identical
-      << " bit-identical, " << fail_closed << " failed closed, "
-      << degraded_heals << " degraded-then-healed, " << kill_resyncs
-      << " kill resyncs, " << tcp_sessions << " over tcp), " << fires
-      << " injected fires, " << failures.size() << " failures";
-  return out.str();
-}
-
-NetOracleReport RunNetOracle(const NetOracleOptions& options) {
-  NetOracleReport report;
-  fault::Disarm();
-  for (int s = 0; s < options.num_sessions; ++s) {
-    const uint64_t session_seed = options.seed + static_cast<uint64_t>(s);
-    Rng rng(Mix64(session_seed) ^ 0x2e7c1);
-    const Problem problem(options, session_seed);
-    const RLCutOptions topts = TrainerOptions(options, session_seed);
-    const bool use_tcp = s % 4 == 3;
-    ++report.sessions;
-    if (use_tcp) ++report.tcp_sessions;
-
-    auto fail = [&](const std::string& message) {
-      fault::Disarm();
-      std::ostringstream out;
-      out << "session " << s << " (seed " << session_seed
-          << (use_tcp ? ", tcp" : ", pipe") << "): " << message;
-      report.failures.push_back(out.str());
-    };
-
-    // Reference: the same seeded run with no sink attached.
-    std::vector<DcId> reference;
-    {
-      auto state = problem.MakeState();
-      AutomatonPool pool(problem.graph.num_vertices(),
-                         problem.topology.num_dcs(), topts);
-      RLCutTrainer(topts).Train(state.get(), problem.AllVertices(), &pool);
-      reference = state->masters();
-    }
-
-    // Faulted lane.
-    {
-      ServerHost host(use_tcp);
-      const fault::FaultSchedule schedule =
-          RandomNetSchedule(session_seed, &rng);
-      fault::Arm(schedule);
-      RunOutcome outcome;
-      try {
-        outcome = RunAgainstHost(problem, topts, &host, session_seed,
-                                 /*kill_at_push=*/0);
-      } catch (const std::exception& e) {
-        fail(std::string("training escaped with an exception under [") +
-             schedule.ToSpec() + "]: " + e.what());
-        continue;
-      }
-      report.fires += fault::TotalFires();
-      fault::Disarm();
-      if (outcome.trainer_masters != reference) {
-        fail("sink faults perturbed the training trajectory under [" +
-             schedule.ToSpec() + "]");
-        continue;
-      }
-      if (outcome.result.replica_status.ok()) {
-        if (!ServerMatches(outcome)) {
-          fail("replica_status is OK but the remote replica diverged "
-               "(silent divergence) under [" +
-               schedule.ToSpec() + "]");
-          continue;
-        }
-        ++report.identical;
-        if (outcome.result.replica_degraded) ++report.degraded_heals;
-      } else {
-        if (outcome.result.replica_status.message().empty()) {
-          fail("fail-closed status carries no message under [" +
-               schedule.ToSpec() + "]");
-          continue;
-        }
-        ++report.fail_closed;
-      }
-    }
-
-    // Kill/restart lane: no faults armed; a mid-run server restart
-    // must be healed by snapshot resync, bit-identically.
-    if (s % 3 == 2) {
-      ServerHost host(use_tcp);
-      const uint64_t kill_at = 2 + rng.Below(4);
-      const RunOutcome outcome = RunAgainstHost(
-          problem, topts, &host, session_seed, /*kill_at_push=*/kill_at);
-      if (outcome.trainer_masters != reference) {
-        fail("kill lane perturbed the training trajectory");
-        continue;
-      }
-      if (!outcome.result.replica_status.ok()) {
-        fail("kill lane failed to resync after server restart: " +
-             outcome.result.replica_status.ToString());
-        continue;
-      }
-      if (!ServerMatches(outcome)) {
-        fail("kill lane ended with a divergent replica after resync");
-        continue;
-      }
-      ++report.kill_resyncs;
-    }
+void RunNetCase(uint64_t seed, LaneReport* report) {
+  for (const char* count :
+       {"bit-identical", "failed closed", "degraded-then-healed",
+        "kill resyncs", "over tcp", "injected fires"}) {
+    report->Add(count, 0);
   }
   fault::Disarm();
-  return report;
+  CounterRng rng{SplitMix64(seed) ^ 0x2e7c1};
+  const Problem problem = TrainingProblem(seed);
+  const RLCutOptions topts = TrainingOptions(seed);
+  const bool use_tcp = seed % 4 == 0;
+  if (use_tcp) report->Add("over tcp", 1);
+
+  auto fail = [&](const std::string& message) {
+    fault::Disarm();
+    report->failures.push_back((use_tcp ? "tcp: " : "pipe: ") + message);
+  };
+
+  // Reference: the same seeded run with no sink attached.
+  std::vector<DcId> reference;
+  {
+    auto state = problem.MakeState();
+    AutomatonPool pool(problem.graph.num_vertices(),
+                       problem.topology.num_dcs(), topts);
+    RLCutTrainer(topts).Train(state.get(), problem.AllVertices(), &pool);
+    reference = state->masters();
+  }
+
+  // Faulted lane.
+  {
+    ServerHost host(use_tcp);
+    const fault::FaultSchedule schedule =
+        RandomSchedule(seed, kNetFaults, &rng);
+    fault::Arm(schedule);
+    RunOutcome outcome;
+    try {
+      outcome = RunAgainstHost(problem, topts, &host, seed, /*kill_at_push=*/0);
+    } catch (const std::exception& e) {
+      fail(std::string("training escaped with an exception under [") +
+           schedule.ToSpec() + "]: " + e.what());
+      return;
+    }
+    report->Add("injected fires", fault::TotalFires());
+    fault::Disarm();
+    if (outcome.trainer_masters != reference) {
+      fail("sink faults perturbed the training trajectory under [" +
+           schedule.ToSpec() + "]");
+      return;
+    }
+    if (outcome.result.replica_status.ok()) {
+      if (!ServerMatches(outcome)) {
+        fail("replica_status is OK but the remote replica diverged "
+             "(silent divergence) under [" +
+             schedule.ToSpec() + "]");
+        return;
+      }
+      report->Add("bit-identical", 1);
+      if (outcome.result.replica_degraded) {
+        report->Add("degraded-then-healed", 1);
+      }
+    } else {
+      if (outcome.result.replica_status.message().empty()) {
+        fail("fail-closed status carries no message under [" +
+             schedule.ToSpec() + "]");
+        return;
+      }
+      report->Add("failed closed", 1);
+    }
+  }
+
+  // Kill/restart lane: no faults armed; a mid-run server restart
+  // must be healed by snapshot resync, bit-identically.
+  if (seed % 3 == 0) {
+    ServerHost host(use_tcp);
+    const uint64_t kill_at = 2 + rng.Below(4);
+    const RunOutcome outcome = RunAgainstHost(
+        problem, topts, &host, seed, /*kill_at_push=*/kill_at);
+    if (outcome.trainer_masters != reference) {
+      fail("kill lane perturbed the training trajectory");
+      return;
+    }
+    if (!outcome.result.replica_status.ok()) {
+      fail("kill lane failed to resync after server restart: " +
+           outcome.result.replica_status.ToString());
+      return;
+    }
+    if (!ServerMatches(outcome)) {
+      fail("kill lane ended with a divergent replica after resync");
+      return;
+    }
+    report->Add("kill resyncs", 1);
+  }
+  fault::Disarm();
 }
+
 
 }  // namespace check
 }  // namespace rlcut

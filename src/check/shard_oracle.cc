@@ -1,131 +1,74 @@
-#include "check/shard_oracle.h"
+// The shard lane: differential oracle for the sharded training runtime
+// (docs/sharding.md). One case replays full training runs on a small
+// dyadic-exact instance and demands *bit-exact* agreement on the final
+// masters, the final objective and the per-shard PRNG states across the
+// three equivalences the determinism contract promises:
+//
+//   * thread invariance — with the shard count fixed, any worker
+//     thread count produces the same trajectory (all action-selection
+//     modes, including the RNG-drawing kProbability);
+//   * shard-vs-single — for the deterministic selection modes (UCB
+//     blend/score, greedy), training with N shards equals training
+//     with 1 shard, because per-vertex automaton updates within a
+//     batch commute and no PRNG is drawn;
+//   * cross-thread resume — a run paused mid-flight, round-tripped
+//     through a checkpoint, and resumed by a trainer with a different
+//     thread count finishes bit-identical to the uninterrupted run.
+//
+// The compared runs execute the same floating-point operations in the
+// same order, so any mismatch is a logic bug in the ownership protocol,
+// never FP noise. The case seed picks the graph kind (seed % 3), the
+// shard count and selection mode (seed % 4) and the deterministic mode
+// (seed % 3), so any 12 consecutive seeds cover every combination.
 
 #include <array>
-#include <ios>
-#include <memory>
-#include <numeric>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "cloud/topology.h"
-#include "graph/generators.h"
-#include "graph/graph.h"
-#include "partition/partition_state.h"
-#include "partition/workload.h"
+#include "check/fixtures.h"
+#include "check/lane.h"
 #include "rlcut/checkpoint.h"
-#include "rlcut/trainer.h"
 
 namespace rlcut {
 namespace check {
 namespace {
 
-// Dyadic per-DC parameters, same discipline as the incremental oracle
-// (check/differential_oracle.cc): every constant is a small multiple of
-// a power of two so all additively maintained aggregates stay exact.
-const double kShardUplinkGbps[] = {0.5, 0.25, 1.0, 0.125,
-                                   2.0, 0.5,  0.25, 1.0};
-const double kShardDownlinkGbps[] = {1.0, 0.5, 2.0, 0.25,
-                                     4.0, 1.0, 0.5,  2.0};
-const double kShardUploadPrice[] = {0.0625, 0.125,  0.03125, 0.25,
-                                    0.09375, 0.0625, 0.5,     0.125};
+constexpr VertexId kVertices = 160;
+constexpr int kDcs = 4;
+constexpr int kMaxSteps = 4;
 
-Topology MakeShardTopology(int num_dcs) {
-  std::vector<DataCenter> dcs(num_dcs);
-  for (int r = 0; r < num_dcs; ++r) {
-    dcs[r].name = "dc" + std::to_string(r);
-    dcs[r].uplink_gbps = kShardUplinkGbps[r % 8];
-    dcs[r].downlink_gbps = kShardDownlinkGbps[r % 8];
-    dcs[r].upload_price = kShardUploadPrice[r % 8];
+// Hybrid-cut training problem on the dyadic family. The input sizes of
+// 1.0 + 0.25 * (v % 8) bytes are dyadic but not whole GB, so every
+// Eq. 4 term is inexact: the move cost must not depend on move order.
+Problem ShardProblem(int kind, uint64_t seed) {
+  Problem p;
+  p.topology = DyadicTopology(1, kDcs);
+  p.graph = DyadicGraph(kind, kVertices, 960, seed);
+  p.locations.resize(p.graph.num_vertices());
+  p.sizes.resize(p.graph.num_vertices());
+  for (VertexId v = 0; v < p.graph.num_vertices(); ++v) {
+    p.locations[v] = static_cast<DcId>(v % kDcs);
+    p.sizes[v] = 1.0 + 0.25 * static_cast<double>(v % 8);
   }
-  return Topology(std::move(dcs));
+  p.config.model = ComputeModel::kHybridCut;
+  p.config.theta = PartitionState::AutoTheta(p.graph);
+  p.config.workload = DyadicWorkload();
+  return p;
 }
 
-Workload ShardWorkload() {
-  Workload w;
-  w.name = "shard-oracle-dyadic";
-  w.apply_base_bytes = 8;
-  w.apply_bytes_per_out_edge = 0.25;
-  w.gather_base_bytes = 4;
-  w.activity = {1.0, 0.5, 0.25, 0.25};
-  return w;
-}
-
-Graph MakeShardGraph(int kind, VertexId n, uint64_t m, uint64_t seed) {
-  switch (kind) {
-    case 0: {
-      PowerLawOptions o;
-      o.num_vertices = n;
-      o.num_edges = m;
-      o.exponent = 2.0;
-      o.seed = seed;
-      return GeneratePowerLaw(o);
-    }
-    case 1:
-      return GenerateErdosRenyi(n, m, seed);
-    default: {
-      RmatOptions o;
-      o.num_vertices = n;
-      o.num_edges = m;
-      o.seed = seed;
-      return GenerateRmat(o);
-    }
-  }
-}
-
-// One deterministic problem instance, rebuilt state-by-state for every
-// trainer run so runs never share mutable state.
-struct Instance {
-  Topology topology;
-  Graph graph;
-  std::vector<DcId> locations;
-  std::vector<double> sizes;
-  PartitionConfig config;
-
-  Instance(const ShardOracleOptions& options, int kind, uint64_t seed)
-      : topology(MakeShardTopology(options.num_dcs)) {
-    graph = MakeShardGraph(kind, options.num_vertices, options.num_edges,
-                           seed);
-    locations.resize(graph.num_vertices());
-    sizes.resize(graph.num_vertices());
-    for (VertexId v = 0; v < graph.num_vertices(); ++v) {
-      locations[v] = static_cast<DcId>(v % options.num_dcs);
-      // Whole-GB-fraction dyadic input sizes.
-      sizes[v] = 1.0 + 0.25 * static_cast<double>(v % 8);
-    }
-    config.model = ComputeModel::kHybridCut;
-    config.theta = PartitionState::AutoTheta(graph);
-    config.workload = ShardWorkload();
-  }
-
-  std::unique_ptr<PartitionState> MakeState() const {
-    auto state = std::make_unique<PartitionState>(&graph, &topology,
-                                                  &locations, &sizes, config);
-    state->ResetDerived(locations);
-    return state;
-  }
-
-  std::vector<VertexId> AllVertices() const {
-    std::vector<VertexId> all(graph.num_vertices());
-    std::iota(all.begin(), all.end(), 0u);
-    return all;
-  }
-};
-
-RLCutOptions TrainerOptions(const ShardOracleOptions& options,
-                            ActionSelection selection, int num_shards,
+RLCutOptions TrainerOptions(ActionSelection selection, int num_shards,
                             int num_threads, uint64_t seed) {
   RLCutOptions topts;
-  topts.max_steps = options.max_steps;
-  topts.batch_size = options.batch_size;
+  topts.max_steps = kMaxSteps;
+  topts.batch_size = 16;
   topts.num_threads = num_threads;
   topts.num_shards = num_shards;
   topts.selection = selection;
   topts.seed = seed;
   // Deterministic visit budget: wall-clock sampling (Eq. 14) is the
   // one nondeterministic input to a step, so the oracle never uses it.
-  topts.agent_visit_budget =
-      static_cast<int64_t>(options.num_vertices) * 4;
+  topts.agent_visit_budget = static_cast<int64_t>(kVertices) * 4;
   topts.convergence_epsilon = 1e-12;
   return topts;
 }
@@ -138,34 +81,27 @@ struct RunOutcome {
   uint64_t decisions = 0;
 };
 
-RunOutcome RunTrainer(const Instance& instance, const RLCutOptions& topts) {
-  RunOutcome outcome;
-  auto state = instance.MakeState();
-  AutomatonPool pool(instance.graph.num_vertices(),
-                     instance.topology.num_dcs(), topts);
-  TrainerSession session;
-  RLCutTrainer trainer(topts);
+// Trains `state` (fresh, or restored with `session`) to the end.
+RunOutcome Finish(const Problem& problem, const RLCutOptions& topts,
+                  PartitionState* state, AutomatonPool* pool,
+                  TrainerSession* session) {
   const TrainResult result =
-      trainer.Train(state.get(), instance.AllVertices(), &pool, &session);
+      RLCutTrainer(topts).Train(state, problem.AllVertices(), pool, session);
+  RunOutcome outcome;
   outcome.masters = state->masters();
   outcome.objective = result.final_objective;
-  outcome.rng_states = session.rng_states;
+  outcome.rng_states = session->rng_states;
   for (const StepStats& step : result.steps) {
     outcome.decisions += step.num_agents;
   }
   return outcome;
 }
 
-std::string Hex(double x) {
-  std::ostringstream out;
-  out << std::hexfloat << x << std::defaultfloat << " (" << x << ")";
-  return out.str();
-}
-
-bool SameObjective(const Objective& a, const Objective& b) {
-  return a.transfer_seconds == b.transfer_seconds &&
-         a.cost_dollars == b.cost_dollars &&
-         a.smooth_seconds == b.smooth_seconds;
+RunOutcome RunTrainer(const Problem& problem, const RLCutOptions& topts) {
+  auto state = problem.MakeState();
+  AutomatonPool pool(problem.graph.num_vertices(), kDcs, topts);
+  TrainerSession session;
+  return Finish(problem, topts, state.get(), &pool, &session);
 }
 
 std::string DiffOutcome(const RunOutcome& a, const RunOutcome& b,
@@ -187,10 +123,7 @@ std::string DiffOutcome(const RunOutcome& a, const RunOutcome& b,
         << ")";
   }
   if (!SameObjective(a.objective, b.objective)) {
-    out << " objective transfer " << Hex(a.objective.transfer_seconds)
-        << " vs " << Hex(b.objective.transfer_seconds) << ", cost "
-        << Hex(a.objective.cost_dollars) << " vs "
-        << Hex(b.objective.cost_dollars);
+    out << " objective" << DiffObjective(a.objective, b.objective);
   }
   if (compare_rng && a.rng_states != b.rng_states) {
     out << " per-shard rng states differ";
@@ -198,26 +131,14 @@ std::string DiffOutcome(const RunOutcome& a, const RunOutcome& b,
   return out.str();
 }
 
-bool SameOutcome(const RunOutcome& a, const RunOutcome& b,
-                 bool compare_rng) {
-  return a.masters == b.masters && SameObjective(a.objective, b.objective) &&
-         (!compare_rng || a.rng_states == b.rng_states);
-}
-
 }  // namespace
 
-std::string ShardOracleReport::Summary() const {
-  std::ostringstream out;
-  out << "shard oracle: " << instances << " instances, " << runs
-      << " training runs, " << move_decisions << " move decisions ("
-      << thread_lane_checks << " thread-invariance, " << shard_lane_checks
-      << " shard-vs-single, " << resume_lane_checks
-      << " cross-thread resume checks), " << failures.size() << " failures";
-  return out.str();
-}
-
-ShardOracleReport RunShardOracle(const ShardOracleOptions& options) {
-  ShardOracleReport report;
+void RunShardCase(uint64_t seed, LaneReport* report) {
+  for (const char* count :
+       {"training runs", "move decisions", "thread-invariance checks",
+        "shard-vs-single checks", "cross-thread resume checks"}) {
+    report->Add(count, 0);
+  }
   constexpr int kShardCounts[] = {2, 3, 4, 8};
   constexpr ActionSelection kAllModes[] = {
       ActionSelection::kUcbBlend, ActionSelection::kProbability,
@@ -230,132 +151,110 @@ ShardOracleReport RunShardOracle(const ShardOracleOptions& options) {
   constexpr const char* kDeterministicModeNames[] = {"ucb_blend",
                                                      "ucb_score", "greedy"};
 
-  for (int i = 0; i < options.num_instances; ++i) {
-    if (static_cast<int>(report.failures.size()) >= options.max_failures) {
-      break;
-    }
-    const uint64_t seed = options.seed + static_cast<uint64_t>(i) * 131;
-    const int kind = i % 3;
-    const int shards = kShardCounts[i % 4];
-    const Instance instance(options, kind, seed);
-    ++report.instances;
-    auto fail = [&](const std::string& lane, const std::string& message) {
-      std::ostringstream out;
-      out << "instance " << i << " (graph kind " << kind << ", " << shards
-          << " shards, seed " << seed << ") " << lane << ":" << message;
-      report.failures.push_back(out.str());
-    };
+  const int kind = static_cast<int>(seed % 3);
+  const int shards = kShardCounts[seed % 4];
+  const ActionSelection mode = kAllModes[seed % 4];
+  const Problem problem = ShardProblem(kind, seed);
+  auto fail = [&](const std::string& lane, const std::string& message) {
+    report->failures.push_back(lane + " (graph kind " + std::to_string(kind) +
+                               ", " + std::to_string(shards) +
+                               " shards): " + message);
+  };
 
-    // ---- Lane A: thread invariance at a fixed shard count. ----------
-    // All selection modes, including kProbability (the only one that
-    // draws from the per-shard PRNGs); the final RNG states must match
-    // too, or a resumed run would diverge later even though the final
-    // plan agrees now.
-    {
-      const ActionSelection mode = kAllModes[i % 4];
-      const std::string lane =
-          std::string("thread-invariance[") + kAllModeNames[i % 4] + "]";
-      const RunOutcome reference = RunTrainer(
-          instance, TrainerOptions(options, mode, shards, 1, seed));
-      ++report.runs;
-      for (int threads : {2, 5}) {
-        const RunOutcome other = RunTrainer(
-            instance, TrainerOptions(options, mode, shards, threads, seed));
-        ++report.runs;
-        report.move_decisions += other.decisions;
-        ++report.thread_lane_checks;
-        if (!SameOutcome(reference, other, /*compare_rng=*/true)) {
-          fail(lane, " " + std::to_string(threads) +
-                         " threads diverged from 1 thread:" +
-                         DiffOutcome(reference, other, true));
-        }
-      }
-    }
-
-    // ---- Lane B: sharded vs single-shard, deterministic modes. ------
-    // With no PRNG draws, per-vertex automaton updates within a batch
-    // commute and the migration stage replays slots in batch order, so
-    // the shard count must not change the trajectory either.
-    {
-      const ActionSelection mode = kDeterministicModes[i % 3];
-      const std::string lane = std::string("shard-vs-single[") +
-                               kDeterministicModeNames[i % 3] + "]";
-      const RunOutcome single = RunTrainer(
-          instance, TrainerOptions(options, mode, 1, 2, seed));
-      const RunOutcome sharded = RunTrainer(
-          instance, TrainerOptions(options, mode, shards, 2, seed));
-      report.runs += 2;
-      report.move_decisions += sharded.decisions;
-      ++report.shard_lane_checks;
-      if (!SameOutcome(single, sharded, /*compare_rng=*/false)) {
-        fail(lane, " " + std::to_string(shards) +
-                       " shards diverged from 1 shard:" +
-                       DiffOutcome(single, sharded, false));
-      }
-    }
-
-    // ---- Lane C: checkpoint resume under a different thread count. --
-    {
-      const ActionSelection mode = kAllModes[i % 4];
-      const std::string lane =
-          std::string("cross-thread-resume[") + kAllModeNames[i % 4] + "]";
-      const RunOutcome uninterrupted = RunTrainer(
-          instance, TrainerOptions(options, mode, shards, 3, seed));
-      ++report.runs;
-
-      const RLCutOptions pause_opts =
-          TrainerOptions(options, mode, shards, 3, seed);
-      auto state = instance.MakeState();
-      AutomatonPool pool(instance.graph.num_vertices(),
-                         instance.topology.num_dcs(), pause_opts);
-      TrainerSession session;
-      session.stop_after_step = options.max_steps / 2;
-      RLCutTrainer(pause_opts)
-          .Train(state.get(), instance.AllVertices(), &pool, &session);
-      const TrainerCheckpoint checkpoint =
-          CaptureCheckpoint(*state, pool, session, pause_opts.seed);
-
-      // A different host: 1 worker thread instead of 3, same shards.
-      const RLCutOptions resume_opts =
-          TrainerOptions(options, mode, shards, 1, seed);
-      auto resumed_state = instance.MakeState();
-      AutomatonPool resumed_pool(instance.graph.num_vertices(),
-                                 instance.topology.num_dcs(), resume_opts);
-      TrainerSession resumed_session;
-      if (Status restored =
-              RestoreCheckpoint(checkpoint, resumed_state.get(),
-                                &resumed_pool, &resumed_session);
-          !restored.ok()) {
-        fail(lane, " RestoreCheckpoint: " + restored.ToString());
-        continue;
-      }
-      RLCutTrainer resume_trainer(resume_opts);
-      if (Status resumable = resume_trainer.ValidateResume(resumed_session);
-          !resumable.ok()) {
-        fail(lane, " ValidateResume rejected a same-shard-count resume: " +
-                       resumable.ToString());
-        continue;
-      }
-      const TrainResult resumed_result = resume_trainer.Train(
-          resumed_state.get(), instance.AllVertices(), &resumed_pool,
-          &resumed_session);
-      ++report.runs;
-      RunOutcome resumed;
-      resumed.masters = resumed_state->masters();
-      resumed.objective = resumed_result.final_objective;
-      resumed.rng_states = resumed_session.rng_states;
-      for (const StepStats& step : resumed_result.steps) {
-        report.move_decisions += step.num_agents;
-      }
-      ++report.resume_lane_checks;
-      if (!SameOutcome(uninterrupted, resumed, /*compare_rng=*/true)) {
-        fail(lane,
-             " resumed run diverged from the uninterrupted run:" +
-                 DiffOutcome(uninterrupted, resumed, true));
+  // ---- Lane A: thread invariance at a fixed shard count. ------------
+  // All selection modes, including kProbability (the only one that
+  // draws from the per-shard PRNGs); the final RNG states must match
+  // too, or a resumed run would diverge later even though the final
+  // plan agrees now.
+  {
+    const std::string lane =
+        std::string("thread-invariance[") + kAllModeNames[seed % 4] + "]";
+    const RunOutcome reference =
+        RunTrainer(problem, TrainerOptions(mode, shards, 1, seed));
+    report->Add("training runs", 1);
+    for (int threads : {2, 5}) {
+      const RunOutcome other =
+          RunTrainer(problem, TrainerOptions(mode, shards, threads, seed));
+      report->Add("training runs", 1);
+      report->Add("move decisions", other.decisions);
+      report->Add("thread-invariance checks", 1);
+      const std::string diff = DiffOutcome(reference, other, true);
+      if (!diff.empty()) {
+        fail(lane, std::to_string(threads) +
+                       " threads diverged from 1 thread:" + diff);
       }
     }
   }
-  return report;
+
+  // ---- Lane B: sharded vs single-shard, deterministic modes. --------
+  // With no PRNG draws, per-vertex automaton updates within a batch
+  // commute and the migration stage replays slots in batch order, so
+  // the shard count must not change the trajectory either.
+  {
+    const ActionSelection det_mode = kDeterministicModes[seed % 3];
+    const std::string lane = std::string("shard-vs-single[") +
+                             kDeterministicModeNames[seed % 3] + "]";
+    const RunOutcome single =
+        RunTrainer(problem, TrainerOptions(det_mode, 1, 2, seed));
+    const RunOutcome sharded =
+        RunTrainer(problem, TrainerOptions(det_mode, shards, 2, seed));
+    report->Add("training runs", 2);
+    report->Add("move decisions", sharded.decisions);
+    report->Add("shard-vs-single checks", 1);
+    const std::string diff = DiffOutcome(single, sharded, false);
+    if (!diff.empty()) {
+      fail(lane, std::to_string(shards) + " shards diverged from 1 shard:" +
+                     diff);
+    }
+  }
+
+  // ---- Lane C: checkpoint resume under a different thread count. ----
+  {
+    const std::string lane =
+        std::string("cross-thread-resume[") + kAllModeNames[seed % 4] + "]";
+    const RunOutcome uninterrupted =
+        RunTrainer(problem, TrainerOptions(mode, shards, 3, seed));
+    report->Add("training runs", 1);
+
+    const RLCutOptions pause_opts = TrainerOptions(mode, shards, 3, seed);
+    auto state = problem.MakeState();
+    AutomatonPool pool(problem.graph.num_vertices(), kDcs, pause_opts);
+    TrainerSession session;
+    session.stop_after_step = kMaxSteps / 2;
+    RLCutTrainer(pause_opts)
+        .Train(state.get(), problem.AllVertices(), &pool, &session);
+    const TrainerCheckpoint checkpoint =
+        CaptureCheckpoint(*state, pool, session, pause_opts.seed);
+
+    // A different host: 1 worker thread instead of 3, same shards.
+    const RLCutOptions resume_opts = TrainerOptions(mode, shards, 1, seed);
+    auto resumed_state = problem.MakeState();
+    AutomatonPool resumed_pool(problem.graph.num_vertices(), kDcs, resume_opts);
+    TrainerSession resumed_session;
+    if (Status restored = RestoreCheckpoint(checkpoint, resumed_state.get(),
+                                            &resumed_pool, &resumed_session);
+        !restored.ok()) {
+      fail(lane, "RestoreCheckpoint: " + restored.ToString());
+      return;
+    }
+    if (Status resumable =
+            RLCutTrainer(resume_opts).ValidateResume(resumed_session);
+        !resumable.ok()) {
+      fail(lane, "ValidateResume rejected a same-shard-count resume: " +
+                     resumable.ToString());
+      return;
+    }
+    const RunOutcome resumed = Finish(problem, resume_opts,
+                                      resumed_state.get(), &resumed_pool,
+                                      &resumed_session);
+    report->Add("training runs", 1);
+    report->Add("move decisions", resumed.decisions);
+    report->Add("cross-thread resume checks", 1);
+    const std::string diff = DiffOutcome(uninterrupted, resumed, true);
+    if (!diff.empty()) {
+      fail(lane, "resumed run diverged from the uninterrupted run:" + diff);
+    }
+  }
 }
 
 }  // namespace check

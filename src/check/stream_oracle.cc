@@ -1,17 +1,32 @@
-#include "check/stream_oracle.h"
-
-#include <unistd.h>
+// The stream lane (docs/streaming.md): one case drives a seeded
+// diurnal edge stream through an RLCutSession, in three runs that must
+// all agree:
+//
+//   * reference — edges arrive in order; every publish's migration
+//     delta vs the previous published plan is independently re-tallied
+//     (PlanMigration over a cold-built graph) and must respect the
+//     session's migration budget exactly;
+//   * shuffle — the same events arrive shuffled within each batch
+//     window, with duplicated sequence ids and early pushes from the
+//     next window; StreamBuffer::Cut must yield the same micro-batches
+//     and therefore bit-identical published plans;
+//   * resume — the session is checkpointed mid-stream, dropped,
+//     restored from the file, and driven to the end; every post-resume
+//     publish must be bit-identical to the reference run.
+//
+// The final live graph must equal a cold application of the same edits
+// (base + stream) edge-for-edge, and the final state must pass
+// CheckInvariants. Any divergence, invariant violation, budget
+// overshoot or unexpected Status is a failure.
 
 #include <algorithm>
-#include <atomic>
-#include <cstdio>
-#include <filesystem>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "cloud/topology.h"
+#include "check/fixtures.h"
+#include "check/lane.h"
 #include "common/sim_time.h"
 #include "graph/geo.h"
 #include "graph/stream.h"
@@ -23,38 +38,15 @@ namespace rlcut {
 namespace check {
 namespace {
 
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
+constexpr int kDcs = 4;
+constexpr int kBatches = 8;
+constexpr int kMaxSteps = 3;  // training depth per re-optimization
+const MigrationBudget kBudget{20, 256 * 1024.0};  // per publish
 
-struct Rng {
-  uint64_t state;
-  explicit Rng(uint64_t seed) : state(seed) {}
-  uint64_t Next() { return Mix64(state++); }
-  uint64_t Below(uint64_t n) { return n == 0 ? 0 : Next() % n; }
-};
-
-std::string ScratchPath(const std::string& tag) {
-  static std::atomic<uint64_t> counter{0};
-  std::ostringstream name;
-  name << "rlcut_stream_" << ::getpid() << "_"
-       << counter.fetch_add(1, std::memory_order_relaxed) << "_" << tag;
-  return (std::filesystem::temp_directory_path() / name.str()).string();
-}
-
-void RemoveWithSidecars(const std::string& path) {
-  std::remove(path.c_str());
-  std::remove((path + ".tmp").c_str());
-  std::remove((path + ".prev").c_str());
-  std::remove((path + ".prev.tmp").c_str());
-}
-
-// One deterministic streaming problem: a diurnal temporal stream whose
-// first half seeds the base graph and whose second half arrives in
-// `num_batches` micro-batch windows, plus a mid-stream topology event.
+// One deterministic streaming problem: a 160-vertex diurnal temporal
+// stream whose first half seeds the base graph and whose second half
+// arrives in kBatches micro-batch windows, plus a mid-stream topology
+// event.
 struct StreamProblem {
   Topology topology;
   Topology degraded_topology;  // applied mid-stream via UpdateTopology
@@ -67,13 +59,13 @@ struct StreamProblem {
   std::vector<std::vector<StreamEvent>> batches;
   std::vector<SimTime> watermarks;
 
-  StreamProblem(const StreamOracleOptions& options, uint64_t seed)
-      : topology(MakeEc2Topology(options.num_dcs, Heterogeneity::kMedium)),
-        temporal(MakeStream(options, seed)),
+  explicit StreamProblem(uint64_t seed)
+      : topology(MakeEc2Topology(kDcs, Heterogeneity::kMedium)),
+        temporal(MakeStream(seed)),
         base_count(temporal.edges().size() / 2),
         base_graph(temporal.Prefix(base_count)) {
     GeoLocatorOptions geo;
-    geo.num_dcs = options.num_dcs;
+    geo.num_dcs = kDcs;
     geo.seed = seed + 101;
     locations = AssignGeoLocations(base_graph, geo);
     sizes = AssignInputSizes(base_graph);
@@ -87,11 +79,11 @@ struct StreamProblem {
     const SimTime start =
         base_count < all.size() ? all[base_count].time : SimTime(0);
     const SimTime end = all.back().time + SimTime(1);
-    batches.assign(options.num_batches, {});
+    batches.assign(kBatches, {});
     const int64_t span = end.micros() - start.micros();
-    for (int b = 0; b < options.num_batches; ++b) {
-      watermarks.push_back(SimTime::Micros(
-          start.micros() + span * (b + 1) / options.num_batches));
+    for (int b = 0; b < kBatches; ++b) {
+      watermarks.push_back(
+          SimTime::Micros(start.micros() + span * (b + 1) / kBatches));
     }
     watermarks.back() = end;  // catch the final edge exactly
     int batch = 0;
@@ -101,11 +93,10 @@ struct StreamProblem {
     }
   }
 
-  static TemporalGraph MakeStream(const StreamOracleOptions& options,
-                                  uint64_t seed) {
+  static TemporalGraph MakeStream(uint64_t seed) {
     TemporalStreamOptions stream;
-    stream.num_vertices = options.num_vertices;
-    stream.num_edges = options.num_edges;
+    stream.num_vertices = 160;
+    stream.num_edges = 960;
     stream.horizon_seconds = 24 * 3600;
     stream.seed = seed;
     return GenerateDiurnalStream(stream);
@@ -122,17 +113,16 @@ struct StreamProblem {
     return ctx;
   }
 
-  RLCutSessionOptions SessionOptions(const StreamOracleOptions& options,
-                                     uint64_t seed) const {
+  RLCutSessionOptions SessionOptions(uint64_t seed) const {
     RLCutSessionOptions sopts;
-    sopts.initial.max_steps = options.max_steps;
+    sopts.initial.max_steps = kMaxSteps;
     sopts.initial.batch_size = 16;
     sopts.initial.num_threads = 2;
     sopts.initial.seed = seed;
     sopts.initial.agent_visit_budget =
         static_cast<int64_t>(base_graph.num_vertices()) * 4;
     sopts.incremental = sopts.initial;
-    sopts.incremental.max_steps = std::max(1, options.max_steps - 1);
+    sopts.incremental.max_steps = std::max(1, kMaxSteps - 1);
     return sopts;
   }
 };
@@ -141,34 +131,18 @@ struct StreamProblem {
 struct LaneTrace {
   std::vector<std::vector<DcId>> published;  // masters per publish
   std::vector<uint64_t> versions;
+  uint64_t budget_clamped = 0;  // publishes whose clamp reverted moves
 };
-
-}  // namespace
-
-std::string StreamOracleReport::Summary() const {
-  std::ostringstream out;
-  out << "stream: " << sessions << " sessions, " << publishes
-      << " publishes (" << budget_clamped << " budget-clamped), " << resumes
-      << " resumes, " << failures.size() << " failures";
-  return out.str();
-}
-
-namespace {
 
 // Drives one session lane: re-optimize + publish, then per batch
 // ApplyDelta -> (mid-stream topology event) -> re-optimize -> publish.
 // `shuffle_rng` non-null turns on the adversarial arrival order.
 // `resume_path` non-null checkpoints after the mid batch, drops the
 // session, and restores from the file.
-bool DriveLane(const StreamOracleOptions& options,
-               const StreamProblem& problem, uint64_t session_seed,
-               Rng* shuffle_rng, const std::string* resume_path,
-               LaneTrace* trace, StreamOracleReport* report,
-               std::string* error) {
-  const MigrationBudget budget{options.budget_vertices,
-                               options.budget_bytes};
-  const RLCutSessionOptions sopts =
-      problem.SessionOptions(options, session_seed);
+bool DriveLane(const StreamProblem& problem, uint64_t session_seed,
+               CounterRng* shuffle_rng, const std::string* resume_path,
+               LaneTrace* trace, std::string* error) {
+  const RLCutSessionOptions sopts = problem.SessionOptions(session_seed);
   Result<std::unique_ptr<RLCutSession>> opened =
       RLCutSession::Open(problem.Context(), sopts);
   if (!opened.ok()) {
@@ -179,7 +153,7 @@ bool DriveLane(const StreamOracleOptions& options,
   StreamBuffer buffer;
 
   auto reoptimize_and_publish = [&](const char* where) {
-    Result<ReoptimizeResult> reopt = session->MaybeReoptimize(budget);
+    Result<ReoptimizeResult> reopt = session->MaybeReoptimize(kBudget);
     if (!reopt.ok()) {
       *error = std::string(where) +
                " MaybeReoptimize: " + reopt.status().ToString();
@@ -191,8 +165,8 @@ bool DriveLane(const StreamOracleOptions& options,
                " PublishPlan: " + plan.status().ToString();
       return false;
     }
-    if (plan->migration.vertices_moved > budget.max_vertices ||
-        plan->migration.bytes_moved > budget.max_bytes) {
+    if (plan->migration.vertices_moved > kBudget.max_vertices ||
+        plan->migration.bytes_moved > kBudget.max_bytes) {
       std::ostringstream out;
       out << where << " publish v" << plan->version << " exceeded budget: "
           << plan->migration.vertices_moved << " vertices / "
@@ -201,7 +175,7 @@ bool DriveLane(const StreamOracleOptions& options,
       return false;
     }
     if (plan->reverted_vertices > 0 || (reopt->reverted_vertices > 0)) {
-      ++report->budget_clamped;
+      ++trace->budget_clamped;
     }
     trace->published.push_back(plan->masters);
     trace->versions.push_back(plan->version);
@@ -210,9 +184,9 @@ bool DriveLane(const StreamOracleOptions& options,
 
   if (!reoptimize_and_publish("initial")) return false;
 
-  const int mid = options.num_batches / 2;
-  const int topology_batch = options.num_batches / 3;
-  for (int b = 0; b < options.num_batches; ++b) {
+  const int mid = kBatches / 2;
+  const int topology_batch = kBatches / 3;
+  for (int b = 0; b < kBatches; ++b) {
     std::vector<StreamEvent> events = problem.batches[b];
     if (shuffle_rng != nullptr) {
       // Adversarial arrival: shuffled within the window, a few events
@@ -221,7 +195,7 @@ bool DriveLane(const StreamOracleOptions& options,
       for (size_t i = events.size(); i > 1; --i) {
         std::swap(events[i - 1], events[shuffle_rng->Below(i)]);
       }
-      if (b + 1 < options.num_batches && !problem.batches[b + 1].empty()) {
+      if (b + 1 < kBatches && !problem.batches[b + 1].empty()) {
         events.push_back(problem.batches[b + 1].front());
       }
     }
@@ -301,8 +275,7 @@ bool DriveLane(const StreamOracleOptions& options,
 // consecutive published plans must respect the budget under the exact
 // sizes the session was using (initial sizes before the first applied
 // batch, degree-derived sizes afterwards).
-bool RecheckBudgets(const StreamOracleOptions& options,
-                    const StreamProblem& problem, const LaneTrace& trace,
+bool RecheckBudgets(const StreamProblem& problem, const LaneTrace& trace,
                     std::string* error) {
   const std::vector<DcId>* previous = &problem.locations;
   for (size_t p = 0; p < trace.published.size(); ++p) {
@@ -321,8 +294,8 @@ bool RecheckBudgets(const StreamOracleOptions& options,
     }
     const MigrationSummary delta = PlanMigration(
         *previous, trace.published[p], sizes, problem.topology);
-    if (delta.vertices_moved > options.budget_vertices ||
-        delta.bytes_moved > options.budget_bytes) {
+    if (delta.vertices_moved > kBudget.max_vertices ||
+        delta.bytes_moved > kBudget.max_bytes) {
       std::ostringstream out;
       out << "cold re-tally of publish " << p << " exceeds the budget: "
           << delta.vertices_moved << " vertices / " << delta.bytes_moved
@@ -337,70 +310,56 @@ bool RecheckBudgets(const StreamOracleOptions& options,
 
 }  // namespace
 
-StreamOracleReport RunStreamOracle(const StreamOracleOptions& options) {
-  StreamOracleReport report;
-  for (int s = 0; s < options.num_sessions; ++s) {
-    const uint64_t session_seed = options.seed + static_cast<uint64_t>(s);
-    const StreamProblem problem(options, session_seed);
-    ++report.sessions;
-    auto fail = [&](const std::string& message) {
-      std::ostringstream out;
-      out << "stream session " << s << " (seed " << session_seed
-          << "): " << message;
-      report.failures.push_back(out.str());
-    };
+void RunStreamCase(uint64_t seed, LaneReport* report) {
+  for (const char* count : {"publishes", "budget-clamped", "resumes"}) {
+    report->Add(count, 0);
+  }
+  const StreamProblem problem(seed);
+  LaneTrace reference;
+  std::string error;
+  if (!DriveLane(problem, seed, nullptr, nullptr, &reference, &error)) {
+    report->failures.push_back("reference run: " + error);
+    return;
+  }
+  report->Add("publishes", reference.published.size());
+  report->Add("budget-clamped", reference.budget_clamped);
+  if (!RecheckBudgets(problem, reference, &error)) {
+    report->failures.push_back(error);
+    return;
+  }
 
-    LaneTrace reference;
-    std::string error;
-    if (!DriveLane(options, problem, session_seed, nullptr, nullptr,
-                   &reference, &report, &error)) {
-      fail("reference lane: " + error);
-      continue;
+  // Shuffle run: identical cuts, therefore identical publishes.
+  {
+    LaneTrace shuffled;
+    CounterRng rng{SplitMix64(seed) ^ 0x5eed};
+    if (!DriveLane(problem, seed, &rng, nullptr, &shuffled, &error)) {
+      report->failures.push_back("shuffle run: " + error);
+      return;
     }
-    report.publishes += reference.published.size();
-    if (!RecheckBudgets(options, problem, reference, &error)) {
-      fail(error);
-      continue;
-    }
-
-    // Shuffle lane: identical cuts, therefore identical publishes.
-    {
-      LaneTrace shuffled;
-      Rng rng(Mix64(session_seed) ^ 0x5eed);
-      StreamOracleReport scratch;  // lane counters must not double-count
-      if (!DriveLane(options, problem, session_seed, &rng, nullptr,
-                     &shuffled, &scratch, &error)) {
-        fail("shuffle lane: " + error);
-        continue;
-      }
-      if (shuffled.published != reference.published ||
-          shuffled.versions != reference.versions) {
-        fail("shuffled arrival diverged from in-order arrival");
-        continue;
-      }
-    }
-
-    // Resume lane: checkpoint mid-stream, restore, finish identically.
-    {
-      LaneTrace resumed;
-      const std::string path = ScratchPath("s" + std::to_string(s));
-      StreamOracleReport scratch;
-      const bool ok = DriveLane(options, problem, session_seed, nullptr,
-                                &path, &resumed, &scratch, &error);
-      RemoveWithSidecars(path);
-      if (!ok) {
-        fail("resume lane: " + error);
-        continue;
-      }
-      if (resumed.published != reference.published ||
-          resumed.versions != reference.versions) {
-        fail("restored session diverged from the uninterrupted session");
-        continue;
-      }
-      ++report.resumes;
+    if (shuffled.published != reference.published ||
+        shuffled.versions != reference.versions) {
+      report->failures.push_back(
+          "shuffled arrival diverged from in-order arrival");
+      return;
     }
   }
-  return report;
+
+  // Resume run: checkpoint mid-stream, restore, finish identically.
+  LaneTrace resumed;
+  const std::string path = ScratchPath("stream.ckpt");
+  const bool ok = DriveLane(problem, seed, nullptr, &path, &resumed, &error);
+  RemoveWithSidecars(path);
+  if (!ok) {
+    report->failures.push_back("resume run: " + error);
+    return;
+  }
+  if (resumed.published != reference.published ||
+      resumed.versions != reference.versions) {
+    report->failures.push_back(
+        "restored session diverged from the uninterrupted session");
+    return;
+  }
+  report->Add("resumes", 1);
 }
 
 }  // namespace check

@@ -64,8 +64,14 @@ class Rng {
 };
 
 /// SplitMix64 step, exposed for deterministic hashing needs (e.g., hash
-/// partitioners that must agree across runs).
-uint64_t SplitMix64(uint64_t x);
+/// partitioners that must agree across runs, fault-injection decisions
+/// and retry jitter). Inline, so layers below rlcut_common use it too.
+inline uint64_t SplitMix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
 
 /// Stateless 64-bit mix hash suitable for partition-by-hash.
 inline uint64_t HashU64(uint64_t x) { return SplitMix64(x); }

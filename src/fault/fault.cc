@@ -7,17 +7,10 @@
 #include <thread>
 #include <unordered_map>
 
+#include "common/random.h"
+
 namespace rlcut::fault {
 namespace {
-
-// SplitMix64: one hash step is enough to decorrelate (seed, site, hit)
-// tuples into an independent per-hit uniform draw.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 uint64_t HashString(const std::string& s) {
   uint64_t hash = 14695981039346656037ull;  // FNV-1a 64
@@ -209,8 +202,10 @@ bool ShouldFire(const char* site, int64_t* amount) {
   bool fire = false;
   if (rule.nth >= 1 && hit == rule.nth) fire = true;
   if (!fire && rule.probability > 0) {
-    const uint64_t draw = Mix64(g_injector.seed ^ state.site_hash ^
-                                static_cast<uint64_t>(hit));
+    // One SplitMix64 step decorrelates (seed, site, hit) into an
+    // independent per-hit draw.
+    const uint64_t draw = SplitMix64(g_injector.seed ^ state.site_hash ^
+                                     static_cast<uint64_t>(hit));
     // Top 53 bits to a uniform double in [0, 1).
     const double u =
         static_cast<double>(draw >> 11) * 0x1.0p-53;

@@ -3,24 +3,13 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/random.h"
 #include "common/timer.h"
 #include "fault/fault.h"
 #include "obs/metrics.h"
 
 namespace rlcut {
 namespace net {
-namespace {
-
-// SplitMix64, the same decorrelation step the fault injector uses: one
-// round is enough to turn (seed, op, attempt) into an independent draw.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 double BackoffMs(const RetryPolicy& policy, uint64_t op_id, int attempt) {
   const double initial = std::max(0.0, policy.initial_backoff_ms);
@@ -30,8 +19,10 @@ double BackoffMs(const RetryPolicy& policy, uint64_t op_id, int attempt) {
   base = std::min(base, cap);
   const double jitter = std::clamp(policy.jitter, 0.0, 1.0);
   if (jitter == 0 || base == 0) return base;
-  const uint64_t draw =
-      Mix64(policy.seed ^ Mix64(op_id) ^ static_cast<uint64_t>(attempt));
+  // SplitMix64, the same decorrelation step the fault injector uses:
+  // one round turns (seed, op, attempt) into an independent draw.
+  const uint64_t draw = SplitMix64(policy.seed ^ SplitMix64(op_id) ^
+                                   static_cast<uint64_t>(attempt));
   // Top 53 bits to a uniform double in [0, 1), mapped to [-1, +1).
   const double u = static_cast<double>(draw >> 11) * 0x1.0p-53 * 2.0 - 1.0;
   return base * (1.0 + jitter * u);

@@ -128,7 +128,10 @@ class FlakyPipe : public Transport {
 };
 
 /// A listening TCP socket bound to 127.0.0.1. `port` 0 picks an
-/// ephemeral port, readable from port() afterwards.
+/// ephemeral port, readable from port() afterwards. Single-threaded:
+/// Accept and Close must not run concurrently, so a server loop that
+/// accepts on its own thread polls with a short Accept timeout and a
+/// stop flag, and the listener is closed after that thread is joined.
 class TcpListener {
  public:
   static Result<std::unique_ptr<TcpListener>> Listen(int port);
@@ -143,7 +146,7 @@ class TcpListener {
 
   int port() const { return port_; }
 
-  /// Closes the listening socket; a blocked Accept returns an error.
+  /// Closes the listening socket; a later Accept returns an error.
   void Close();
 
  private:

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "check/differential_oracle.h"
 #include "check/invariants.h"
+#include "check/lane.h"
 
 namespace rlcut {
 namespace check {
@@ -36,23 +36,24 @@ class ScopedInvariantsEnv {
   std::string old_;
 };
 
+LaneReport RunOracle(uint64_t seed, uint64_t count) {
+  const Lane* lane = FindLane("oracle");
+  EXPECT_NE(lane, nullptr);
+  return lane == nullptr ? LaneReport() : RunLane(*lane, seed, count);
+}
+
 TEST(DifferentialOracleTest, AllPresetsAndModelsAgreeBitExactly) {
-  OracleOptions options;
-  // 27 sequences cover every (graph kind, topology preset, model)
-  // combination at least once, including the outage schedule preset.
-  options.num_sequences = 27;
-  options.moves_per_sequence = 48;
-  options.seed = 5;
-  const OracleReport report = RunDifferentialOracle(options);
+  // 27 consecutive case seeds cover every (graph kind, topology preset,
+  // model) combination, including the outage schedule preset.
+  const LaneReport report = RunOracle(5, 27);
   for (const std::string& f : report.failures) ADD_FAILURE() << f;
-  EXPECT_TRUE(report.ok()) << report.Summary();
-  EXPECT_EQ(report.sequences, 27u);
-  EXPECT_EQ(report.moves, 27u * 48u);
-  EXPECT_GE(report.cold_recomputes, report.sequences);
-  EXPECT_GE(report.rollbacks, 1u);
-  EXPECT_GE(report.topology_updates, 1u);
-  EXPECT_GE(report.invariant_checks, report.sequences);
-  EXPECT_GE(report.legacy_evals, 1u);
+  EXPECT_EQ(report.Count("cases"), 27u);
+  EXPECT_EQ(report.Count("moves"), 27u * 32u);
+  EXPECT_GE(report.Count("cold recomputes"), 27u);
+  EXPECT_GE(report.Count("rollbacks"), 1u);
+  EXPECT_GE(report.Count("topology updates"), 1u);
+  EXPECT_GE(report.Count("invariant checks"), 27u);
+  EXPECT_GE(report.Count("legacy evals"), 1u);
 }
 
 TEST(DifferentialOracleTest, SoaVsLegacyLaneCoversAThousandMoves) {
@@ -60,48 +61,34 @@ TEST(DifferentialOracleTest, SoaVsLegacyLaneCoversAThousandMoves) {
   // moves, each committed state compared bit-exactly against the legacy
   // array-of-structs reference evaluator (plus the scalar-vs-SIMD lane
   // on every batched evaluation when the host has AVX2).
-  OracleOptions options;
-  options.num_sequences = 18;
-  options.moves_per_sequence = 60;
-  options.seed = 33;
-  const OracleReport report = RunDifferentialOracle(options);
+  const LaneReport report = RunOracle(33, 32);
   for (const std::string& f : report.failures) ADD_FAILURE() << f;
-  EXPECT_TRUE(report.ok()) << report.Summary();
-  EXPECT_GE(report.moves, 1000u);
+  EXPECT_GE(report.Count("moves"), 1000u);
   // Every committed mutation runs the legacy comparison; SetMaster and
   // PlaceEdge moves each count once, MoveMaster moves once as well.
-  EXPECT_GE(report.legacy_evals, 1000u);
+  EXPECT_GE(report.Count("legacy evals"), 1000u);
 }
 
 TEST(DifferentialOracleTest, DerivedModelsOnlyAlsoPass) {
-  OracleOptions options;
-  options.num_sequences = 18;
-  options.moves_per_sequence = 32;
-  options.include_vertex_cut = false;
-  options.seed = 11;
-  const OracleReport report = RunDifferentialOracle(options);
-  EXPECT_TRUE(report.ok()) << report.Summary();
+  // Seeds 0..17 pick model (seed / 9) % 3 in {hybrid-cut, edge-cut}.
+  const LaneReport report = RunOracle(0, 18);
+  for (const std::string& f : report.failures) ADD_FAILURE() << f;
+  EXPECT_EQ(report.Count("cases"), 18u);
 }
 
 TEST(DifferentialOracleTest, DeterministicForAFixedSeed) {
-  OracleOptions options;
-  options.num_sequences = 6;
-  options.moves_per_sequence = 24;
-  options.seed = 21;
-  const OracleReport a = RunDifferentialOracle(options);
-  const OracleReport b = RunDifferentialOracle(options);
-  EXPECT_EQ(a.Summary(), b.Summary());
-  EXPECT_EQ(a.rollbacks, b.rollbacks);
-  EXPECT_EQ(a.cold_recomputes, b.cold_recomputes);
+  const LaneReport a = RunOracle(21, 6);
+  const LaneReport b = RunOracle(21, 6);
+  EXPECT_EQ(a.counts, b.counts);
+  EXPECT_EQ(a.failures, b.failures);
 }
 
 TEST(DifferentialOracleTest, SummaryMentionsCounts) {
-  OracleOptions options;
-  options.num_sequences = 1;
-  options.moves_per_sequence = 8;
-  const OracleReport report = RunDifferentialOracle(options);
-  EXPECT_NE(report.Summary().find("1 sequences"), std::string::npos);
-  EXPECT_NE(report.Summary().find("0 failures"), std::string::npos);
+  const Lane* lane = FindLane("oracle");
+  ASSERT_NE(lane, nullptr);
+  const std::string summary = LaneSummary(*lane, RunLane(*lane, 1, 1));
+  EXPECT_EQ(summary.rfind("oracle: 1 cases, 32 moves, ", 0), 0u) << summary;
+  EXPECT_NE(summary.find(", 0 failures"), std::string::npos) << summary;
 }
 
 TEST(InvariantsEnvTest, DisabledWhenUnsetEmptyOrZero) {

@@ -13,7 +13,7 @@
 
 #include <gtest/gtest.h>
 
-#include "check/chaos.h"
+#include "check/lane.h"
 #include "cloud/topology.h"
 #include "common/atomic_file.h"
 #include "fault/fault.h"
@@ -344,17 +344,13 @@ TEST_F(CrashRecoveryTest, StaleTempFilesAreDetectedAndRemoved) {
 }
 
 TEST_F(CrashRecoveryTest, MiniChaosAuditPasses) {
-  check::ChaosOptions options;
-  options.num_sessions = 3;
-  options.num_vertices = 96;
-  options.num_edges = 576;
-  options.max_steps = 4;
-  options.num_threads = 2;
-  options.seed = 77;
-  const check::ChaosReport report = check::RunChaos(options);
-  EXPECT_EQ(report.sessions, 3u);
-  EXPECT_EQ(report.masked + report.degraded, 3u);
-  EXPECT_EQ(report.crash_resumes, 1u);
+  const check::Lane* chaos = check::FindLane("chaos");
+  ASSERT_NE(chaos, nullptr);
+  // Seeds 77..79: one is a multiple of 3, so one crash-lane resume.
+  const check::LaneReport report = check::RunLane(*chaos, 77, 3);
+  EXPECT_EQ(report.Count("cases"), 3u);
+  EXPECT_EQ(report.Count("masked") + report.Count("degraded-valid"), 3u);
+  EXPECT_EQ(report.Count("crash resumes"), 1u);
   EXPECT_TRUE(report.failures.empty()) << report.failures.front();
 }
 

@@ -22,26 +22,29 @@ const CorpusCase& FindCase(const std::vector<CorpusCase>& corpus,
 class CorpusReplayTest : public ::testing::TestWithParam<LoaderKind> {};
 
 TEST_P(CorpusReplayTest, EveryCaseMatchesItsExpectation) {
-  const FuzzReport report = ReplayCorpus(GetParam());
+  LaneReport report;
+  ReplayCorpus(GetParam(), &report);
   for (const std::string& f : report.failures) ADD_FAILURE() << f;
-  EXPECT_TRUE(report.ok()) << report.Summary();
   // Each corpus mixes accepted and rejected inputs.
-  EXPECT_GE(report.accepted, 2u);
-  EXPECT_GE(report.rejected, 5u);
+  EXPECT_GE(report.Count("accepted"), 2u);
+  EXPECT_GE(report.Count("rejected"), 5u);
 }
 
 TEST_P(CorpusReplayTest, DeterministicFuzzRunIsClean) {
-  const FuzzReport report = RunLoaderFuzz(GetParam(), 150, 7);
+  LaneReport report;
+  for (uint64_t seed = 7; seed < 7 + 150; ++seed) {
+    FuzzLoader(GetParam(), seed, &report);
+  }
   for (const std::string& f : report.failures) ADD_FAILURE() << f;
-  EXPECT_TRUE(report.ok()) << report.Summary();
-  EXPECT_EQ(report.cases, 150u);
+  EXPECT_EQ(report.Count("accepted") + report.Count("rejected"), 150u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllLoaders, CorpusReplayTest,
                          ::testing::Values(LoaderKind::kCheckpoint,
                                            LoaderKind::kPlan,
                                            LoaderKind::kNetSchedule,
-                                           LoaderKind::kRlgGraph),
+                                           LoaderKind::kRlgGraph,
+                                           LoaderKind::kNetFrame),
                          [](const auto& info) {
                            switch (info.param) {
                              case LoaderKind::kCheckpoint:
@@ -50,6 +53,8 @@ INSTANTIATE_TEST_SUITE_P(AllLoaders, CorpusReplayTest,
                                return std::string("Plan");
                              case LoaderKind::kRlgGraph:
                                return std::string("RlgGraph");
+                             case LoaderKind::kNetFrame:
+                               return std::string("NetFrame");
                              default:
                                return std::string("NetSchedule");
                            }

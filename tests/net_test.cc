@@ -386,10 +386,12 @@ class TcpServerHost {
     thread_ = std::thread([this] { Loop(); });
   }
 
+  // TcpListener is single-threaded: close it only after the loop thread
+  // (whose Accept times out every 50 ms) has seen stop_ and exited.
   ~TcpServerHost() {
     stop_.store(true);
-    listener_->Close();
     thread_.join();
+    listener_->Close();
   }
 
   std::string endpoint() const {

@@ -338,8 +338,8 @@ TEST(ValidateRLCutOptionsTest, ConstructorClampsAndResolvesDefaults) {
 }
 
 // ---- Trainer-level determinism smoke tests --------------------------
-// The exhaustive version of these lanes is the differential oracle
-// (check/shard_oracle.h, `rlcut_audit --mode=shard`); these keep a fast
+// The exhaustive version of these lanes is the shard audit lane
+// (check/shard_oracle.cc, `rlcut_audit --lane=shard`); these keep a fast
 // canary in the unit suite.
 
 class ShardTrainerTest : public ::testing::Test {

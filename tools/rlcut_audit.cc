@@ -1,168 +1,95 @@
-// Standalone correctness audit driver: runs the differential oracle,
-// replays the loader corpora, fuzzes the loaders, and (on request) runs
-// the chaos lane — full training sessions under randomized fault
-// schedules — exiting non-zero on any failure. CI runs it as the
-// fuzz-smoke and chaos-smoke jobs; developers run it directly when
-// touching the incremental evaluator, a loader, or the fault paths:
+// Correctness audit tool: runs the audit lanes of check/lane.h — the
+// differential oracle, loader corpus replay and fuzzing, and the
+// renumber, shard, chaos, net and stream oracles — and exits non-zero
+// on any failure. Every failure prints the command that replays it:
 //
-//   rlcut_audit --mode=oracle --sequences=1024 --moves=32
-//   rlcut_audit --mode=fuzz --fuzz_iters=5000 --seed=3
-//   rlcut_audit --mode=chaos --sessions=100
-//   rlcut_audit --mode=net --sessions=100
-//   rlcut_audit --mode=stream --sessions=100
-//   rlcut_audit --mode=shard --instances=24
-//   rlcut_audit --mode=renumber --instances=24
-//   rlcut_audit            # everything except chaos/net/stream/shard,
-//                          # moderate sizes
+//   rlcut_audit                         # every lane, smoke tier (ctest)
+//   rlcut_audit --tier=ci               # every lane, per-commit CI tier
+//   rlcut_audit --lane=shard,net --tier=nightly --seed=20261017
+//   rlcut_audit --lane=shard --seed=787 --count=1   # replay one case
 
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "check/chaos.h"
-#include "check/differential_oracle.h"
-#include "check/fuzz.h"
-#include "check/net_oracle.h"
-#include "check/renumber_oracle.h"
-#include "check/shard_oracle.h"
-#include "check/stream_oracle.h"
+#include "check/lane.h"
 #include "common/flags.h"
 
 namespace {
 
-const rlcut::check::LoaderKind kLoaders[] = {
-    rlcut::check::LoaderKind::kCheckpoint,
-    rlcut::check::LoaderKind::kPlan,
-    rlcut::check::LoaderKind::kNetSchedule,
-    rlcut::check::LoaderKind::kRlgGraph,
-    rlcut::check::LoaderKind::kNetFrame,
-};
-
-int ReportFailures(const std::vector<std::string>& failures) {
-  for (const std::string& f : failures) {
-    std::fprintf(stderr, "FAIL: %s\n", f.c_str());
-  }
-  return failures.empty() ? 0 : 1;
+// Case count of `lane` at `tier`, or -1 for an unknown tier.
+int TierCount(const rlcut::check::Lane& lane, const std::string& tier) {
+  if (tier == "smoke") return lane.smoke;
+  if (tier == "ci") return lane.ci;
+  if (tier == "nightly") return lane.nightly;
+  return -1;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   rlcut::FlagParser flags;
-  flags.DefineString(
-      "mode", "all",
-      "what to audit: all | oracle | corpus | fuzz | renumber | chaos | "
-      "net | stream | shard (chaos trains under fault injection, net "
-      "drives replica sync through the transport under network chaos, "
-      "stream drives full streaming sessions, shard replays the "
-      "sharded-trainer determinism lanes; chaos/net/stream/shard are "
-      "not part of all)");
-  flags.DefineInt("sequences", 64, "oracle: randomized move sequences");
-  flags.DefineInt("moves", 64, "oracle: moves per sequence");
-  flags.DefineInt("vertices", 96, "oracle: vertices per instance");
-  flags.DefineInt("edges", 384, "oracle: edges per instance");
-  flags.DefineInt("dcs", 4, "oracle: data centers");
-  flags.DefineInt("fuzz_iters", 600, "fuzz: mutated inputs per loader");
-  flags.DefineInt("sessions", 16, "chaos: randomized training sessions");
-  flags.DefineInt("instances", 6,
-                  "shard / renumber: problem instances per lane");
-  flags.DefineInt("seed", 1, "base RNG seed");
-  if (rlcut::Status s = flags.Parse(argc, argv); !s.ok()) {
-    std::fprintf(stderr, "%s\n%s", s.ToString().c_str(),
+  flags.DefineString("lane", "all", "comma-separated lanes, or all");
+  flags.DefineString("tier", "smoke",
+                     "case budget per lane: smoke | ci | nightly");
+  flags.DefineInt("seed", 1, "first case seed; cases use seed, seed+1, ...");
+  flags.DefineInt("count", 0, "cases per lane (0 = the tier's count)");
+  const rlcut::Status parsed = flags.Parse(argc, argv);
+  if (!parsed.ok() || flags.help_requested()) {
+    std::FILE* out = parsed.ok() ? stdout : stderr;
+    if (!parsed.ok()) std::fprintf(out, "%s\n", parsed.ToString().c_str());
+    std::fprintf(out, "%s\nlanes (cases at smoke / ci / nightly):\n",
                  flags.Usage(argv[0]).c_str());
+    for (const rlcut::check::Lane& lane : rlcut::check::Lanes()) {
+      std::fprintf(out, "  %-9s %6d %6d %7d\n", lane.name, lane.smoke,
+                   lane.ci, lane.nightly);
+    }
+    return parsed.ok() ? 0 : 2;
+  }
+
+  std::vector<const rlcut::check::Lane*> lanes;
+  const std::string& lane_list = flags.GetString("lane");
+  if (lane_list == "all") {
+    for (const rlcut::check::Lane& lane : rlcut::check::Lanes()) {
+      lanes.push_back(&lane);
+    }
+  } else {
+    size_t begin = 0;
+    while (begin <= lane_list.size()) {
+      size_t end = lane_list.find(',', begin);
+      if (end == std::string::npos) end = lane_list.size();
+      const std::string name = lane_list.substr(begin, end - begin);
+      const rlcut::check::Lane* lane = rlcut::check::FindLane(name);
+      if (lane == nullptr) {
+        std::fprintf(stderr, "unknown lane '%s' (see --help)\n", name.c_str());
+        return 2;
+      }
+      lanes.push_back(lane);
+      begin = end + 1;
+    }
+  }
+  const std::string& tier = flags.GetString("tier");
+  if (TierCount(*lanes.front(), tier) < 0) {
+    std::fprintf(stderr, "unknown --tier=%s (smoke | ci | nightly)\n",
+                 tier.c_str());
     return 2;
   }
-  if (flags.help_requested()) {
-    std::printf("%s", flags.Usage(argv[0]).c_str());
-    return 0;
-  }
-  const std::string mode = flags.GetString("mode");
-  if (mode != "all" && mode != "oracle" && mode != "corpus" &&
-      mode != "fuzz" && mode != "renumber" && mode != "chaos" &&
-      mode != "net" && mode != "stream" && mode != "shard") {
-    std::fprintf(stderr, "unknown --mode=%s\n", mode.c_str());
+  const int64_t count = flags.GetInt("count");
+  const int64_t seed = flags.GetInt("seed");
+  if (count < 0 || seed < 0) {
+    std::fprintf(stderr, "--seed and --count must be non-negative\n");
     return 2;
   }
 
   int rc = 0;
-  if (mode == "all" || mode == "oracle") {
-    rlcut::check::OracleOptions options;
-    options.num_sequences = static_cast<int>(flags.GetInt("sequences"));
-    options.moves_per_sequence = static_cast<int>(flags.GetInt("moves"));
-    options.num_vertices =
-        static_cast<rlcut::VertexId>(flags.GetInt("vertices"));
-    options.num_edges = static_cast<uint64_t>(flags.GetInt("edges"));
-    options.num_dcs = static_cast<int>(flags.GetInt("dcs"));
-    options.seed = static_cast<uint64_t>(flags.GetInt("seed"));
-    const rlcut::check::OracleReport report =
-        rlcut::check::RunDifferentialOracle(options);
-    std::printf("%s\n", report.Summary().c_str());
-    rc |= ReportFailures(report.failures);
-  }
-  if (mode == "all" || mode == "corpus") {
-    for (rlcut::check::LoaderKind kind : kLoaders) {
-      const rlcut::check::FuzzReport report =
-          rlcut::check::ReplayCorpus(kind);
-      std::printf("corpus %s: %s\n", rlcut::check::LoaderName(kind),
-                  report.Summary().c_str());
-      rc |= ReportFailures(report.failures);
-    }
-  }
-  if (mode == "all" || mode == "fuzz") {
-    const int iters = static_cast<int>(flags.GetInt("fuzz_iters"));
-    const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed"));
-    for (rlcut::check::LoaderKind kind : kLoaders) {
-      const rlcut::check::FuzzReport report =
-          rlcut::check::RunLoaderFuzz(kind, iters, seed);
-      std::printf("fuzz %s: %s\n", rlcut::check::LoaderName(kind),
-                  report.Summary().c_str());
-      rc |= ReportFailures(report.failures);
-    }
-  }
-  if (mode == "all" || mode == "renumber") {
-    rlcut::check::RenumberOracleOptions options;
-    options.num_instances = static_cast<int>(flags.GetInt("instances"));
-    options.seed = static_cast<uint64_t>(flags.GetInt("seed"));
-    const rlcut::check::RenumberOracleReport report =
-        rlcut::check::RunRenumberOracle(options);
-    std::printf("%s\n", report.Summary().c_str());
-    rc |= ReportFailures(report.failures);
-  }
-  if (mode == "chaos") {
-    rlcut::check::ChaosOptions options;
-    options.num_sessions = static_cast<int>(flags.GetInt("sessions"));
-    options.seed = static_cast<uint64_t>(flags.GetInt("seed"));
-    const rlcut::check::ChaosReport report =
-        rlcut::check::RunChaos(options);
-    std::printf("%s\n", report.Summary().c_str());
-    rc |= ReportFailures(report.failures);
-  }
-  if (mode == "net") {
-    rlcut::check::NetOracleOptions options;
-    options.num_sessions = static_cast<int>(flags.GetInt("sessions"));
-    options.seed = static_cast<uint64_t>(flags.GetInt("seed"));
-    const rlcut::check::NetOracleReport report =
-        rlcut::check::RunNetOracle(options);
-    std::printf("%s\n", report.Summary().c_str());
-    rc |= ReportFailures(report.failures);
-  }
-  if (mode == "shard") {
-    rlcut::check::ShardOracleOptions options;
-    options.num_instances = static_cast<int>(flags.GetInt("instances"));
-    options.seed = static_cast<uint64_t>(flags.GetInt("seed"));
-    const rlcut::check::ShardOracleReport report =
-        rlcut::check::RunShardOracle(options);
-    std::printf("%s\n", report.Summary().c_str());
-    rc |= ReportFailures(report.failures);
-  }
-  if (mode == "stream") {
-    rlcut::check::StreamOracleOptions options;
-    options.num_sessions = static_cast<int>(flags.GetInt("sessions"));
-    options.seed = static_cast<uint64_t>(flags.GetInt("seed"));
-    const rlcut::check::StreamOracleReport report =
-        rlcut::check::RunStreamOracle(options);
-    std::printf("%s\n", report.Summary().c_str());
-    rc |= ReportFailures(report.failures);
+  for (const rlcut::check::Lane* lane : lanes) {
+    const rlcut::check::LaneReport report = rlcut::check::RunLane(
+        *lane, static_cast<uint64_t>(seed),
+        static_cast<uint64_t>(count > 0 ? count : TierCount(*lane, tier)),
+        stderr);
+    std::printf("%s\n", rlcut::check::LaneSummary(*lane, report).c_str());
+    std::fflush(stdout);
+    if (!report.failures.empty()) rc = 1;
   }
   return rc;
 }

@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
                      "(RLCut only)");
   flags.DefineString("faults", "",
                      "fault schedule spec, e.g. "
-                     "'session.ingest_fail:prob=0.1' (see rlcut_audit)");
+                     "'session.ingest_fail:prob=0.1' (see docs/robustness.md)");
   flags.DefineString("replica_endpoint", "",
                      "ship plan deltas to a rlcut_replica worker at "
                      "host:port (RLCut only; see docs/distributed.md)");

@@ -4,26 +4,26 @@
 // metrics, and optionally saves/loads the plan, a Chrome-trace JSON of
 // the run, and a metrics CSV.
 //
-// Examples:
+// Examples (one command each; indented lines continue the line above):
 //   rlcut_tool --dataset=TW --scale=2000 --method=RLCut --t_opt=5
 //   rlcut_tool --input=graph.el --method=Ginger --dcs=4
 //   rlcut_tool --dataset=LJ --load_plan=plan.txt        # evaluate a plan
 //   rlcut_tool --dataset=LJ --method=RLCut --save_plan=plan.txt
-//   rlcut_tool --dataset=TW --method=RLCut --trace_out=trace.json \
+//   rlcut_tool --dataset=TW --method=RLCut --trace_out=trace.json
 //       --metrics_out=metrics.csv   # open trace.json in ui.perfetto.dev
-//   rlcut_tool --dataset=LJ --method=RLCut --stop_after_step=5 \
+//   rlcut_tool --dataset=LJ --method=RLCut --stop_after_step=5
 //       --checkpoint_out=run.ckpt   # pause and snapshot a training run
 //   rlcut_tool --dataset=LJ --method=RLCut --resume_from=run.ckpt
 //   rlcut_tool --dataset=LJ --method=RLCut --net_schedule=diurnal.sched
-//   rlcut_tool --dataset=LJ --method=RLCut --checkpoint_out=run.ckpt \
+//   rlcut_tool --dataset=LJ --method=RLCut --checkpoint_out=run.ckpt
 //       --checkpoint_every=2   # crash-consistent rotating auto-saves
-//   rlcut_tool --dataset=LJ --method=RLCut \
+//   rlcut_tool --dataset=LJ --method=RLCut
 //       --faults='threadpool.task_throw:prob=0.05'  # fault drill
-//   rlcut_tool --dataset=TW --method=RLCut --vertex_order=degree \
+//   rlcut_tool --dataset=TW --method=RLCut --vertex_order=degree
 //       --save_plan=plan.txt   # train renumbered; plan in original ids
-//   rlcut_tool --gen_vertices=1048576 --gen_edges=33554432 \
+//   rlcut_tool --gen_vertices=1048576 --gen_edges=33554432
 //       --vertex_order=degree --save_rlg=tw.rlg --convert_only
-//   rlcut_tool --input_rlg=tw.rlg --method=RLCut --t_opt=30 \
+//   rlcut_tool --input_rlg=tw.rlg --method=RLCut --t_opt=30
 //       --mmap_budget_mb=64 --max_rss_mb=344   # out-of-core training
 
 #include <unistd.h>

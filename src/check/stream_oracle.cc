@@ -1,6 +1,6 @@
 // The stream lane (docs/streaming.md): one case drives a seeded
 // diurnal edge stream through an RLCutSession, in three runs that must
-// all agree:
+// all agree and a pair at a sparser cadence:
 //
 //   * reference — edges arrive in order; every publish's migration
 //     delta vs the previous published plan is independently re-tallied
@@ -12,12 +12,22 @@
 //     and therefore bit-identical published plans;
 //   * resume — the session is checkpointed mid-stream, dropped,
 //     restored from the file, and driven to the end; every post-resume
-//     publish must be bit-identical to the reference run.
+//     publish must be bit-identical to the reference run;
+//   * lazy — two runs re-optimize only every k = 2 + seed % 3
+//     batches. One reads live_state() after every apply, which
+//     re-derives per apply as an eager session would. The other lets
+//     applies pile up unread before each re-derive, and checkpoints and
+//     restores right after an apply that a re-optimization follows, so
+//     the file is written from a session holding k unread batches and
+//     the restored session is read at once. Their publishes must be
+//     bit-identical.
 //
 // The final live graph must equal a cold application of the same edits
 // (base + stream) edge-for-edge, and the final state must pass
-// CheckInvariants. Any divergence, invariant violation, budget
-// overshoot or unexpected Status is a failure.
+// CheckInvariants and equal a cold PartitionState over that graph and
+// the final masters (bit-equal objective, same edge placement). Any
+// divergence, invariant violation, budget overshoot or unexpected
+// Status is a failure.
 
 #include <algorithm>
 #include <memory>
@@ -134,14 +144,62 @@ struct LaneTrace {
   uint64_t budget_clamped = 0;  // publishes whose clamp reverted moves
 };
 
+// How one run feeds and reads its session.
+struct RunShape {
+  // Non-null turns on the adversarial arrival order.
+  CounterRng* shuffle_rng = nullptr;
+  // Non-null checkpoints at `resume_batch`, drops the session, and
+  // restores it from the file.
+  const std::string* resume_path = nullptr;
+  int resume_batch = kBatches / 2;
+  // Checkpoint right after that batch's ApplyDelta, before any reader,
+  // instead of after its publish.
+  bool resume_after_apply = false;
+  // Re-optimize + publish after every `reopt_every`-th batch (and once
+  // more at the end if batches are left).
+  int reopt_every = 1;
+  // Read live_state() after every ApplyDelta.
+  bool read_after_apply = false;
+};
+
+// The final live state must equal a cold state over the whole stream
+// under the final topology, reset to the final masters.
+bool MatchesColdState(const StreamProblem& problem,
+                      const PartitionState& live, std::string* error) {
+  const Graph graph =
+      problem.temporal.Prefix(problem.temporal.edges().size());
+  const std::vector<double> sizes = AssignInputSizes(graph);
+  const PartitionerContext ctx = problem.Context();
+  PartitionConfig config;
+  config.model = ComputeModel::kHybridCut;
+  config.theta = ctx.theta;
+  config.workload = ctx.workload;
+  PartitionState cold(&graph, &problem.degraded_topology, &problem.locations,
+                      &sizes, config);
+  cold.ResetDerived(live.masters());
+  const Objective a = live.CurrentObjective();
+  const Objective b = cold.CurrentObjective();
+  if (a.transfer_seconds != b.transfer_seconds ||
+      a.cost_dollars != b.cost_dollars ||
+      a.smooth_seconds != b.smooth_seconds) {
+    *error = "final objective differs from a cold state's";
+    return false;
+  }
+  for (EdgeId e = 0; e < graph.num_edges(); ++e) {
+    if (live.edge_dc(e) != cold.edge_dc(e)) {
+      *error = "final placement of edge " + std::to_string(e) +
+               " differs from a cold state's";
+      return false;
+    }
+  }
+  return true;
+}
+
 // Drives one session lane: re-optimize + publish, then per batch
-// ApplyDelta -> (mid-stream topology event) -> re-optimize -> publish.
-// `shuffle_rng` non-null turns on the adversarial arrival order.
-// `resume_path` non-null checkpoints after the mid batch, drops the
-// session, and restores from the file.
+// ApplyDelta -> (mid-stream topology event) -> re-optimize -> publish,
+// shaped by `shape`.
 bool DriveLane(const StreamProblem& problem, uint64_t session_seed,
-               CounterRng* shuffle_rng, const std::string* resume_path,
-               LaneTrace* trace, std::string* error) {
+               const RunShape& shape, LaneTrace* trace, std::string* error) {
   const RLCutSessionOptions sopts = problem.SessionOptions(session_seed);
   Result<std::unique_ptr<RLCutSession>> opened =
       RLCutSession::Open(problem.Context(), sopts);
@@ -182,10 +240,28 @@ bool DriveLane(const StreamProblem& problem, uint64_t session_seed,
     return true;
   };
 
+  auto checkpoint_and_restore = [&]() {
+    if (Status saved = session->SaveCheckpoint(*shape.resume_path);
+        !saved.ok()) {
+      *error = "SaveCheckpoint: " + saved.ToString();
+      return false;
+    }
+    session.reset();
+    Result<std::unique_ptr<RLCutSession>> restored =
+        RLCutSession::Restore(*shape.resume_path, sopts);
+    if (!restored.ok()) {
+      *error = "Restore: " + restored.status().ToString();
+      return false;
+    }
+    session = std::move(*restored);
+    return true;
+  };
+
   if (!reoptimize_and_publish("initial")) return false;
 
-  const int mid = kBatches / 2;
   const int topology_batch = kBatches / 3;
+  CounterRng* shuffle_rng = shape.shuffle_rng;
+  int since_reopt = 0;
   for (int b = 0; b < kBatches; ++b) {
     std::vector<StreamEvent> events = problem.batches[b];
     if (shuffle_rng != nullptr) {
@@ -210,6 +286,16 @@ bool DriveLane(const StreamProblem& problem, uint64_t session_seed,
                " ApplyDelta: " + applied.status().ToString();
       return false;
     }
+    if (shape.read_after_apply && session->live_state() == nullptr) {
+      *error = "batch " + std::to_string(b) + " has no live state";
+      return false;
+    }
+    const bool resume_here =
+        shape.resume_path != nullptr && b == shape.resume_batch;
+    if (resume_here && shape.resume_after_apply &&
+        !checkpoint_and_restore()) {
+      return false;
+    }
     if (b == topology_batch) {
       Result<TopologyUpdateResult> updated =
           session->UpdateTopology(problem.degraded_topology);
@@ -218,25 +304,18 @@ bool DriveLane(const StreamProblem& problem, uint64_t session_seed,
         return false;
       }
     }
-    if (!reoptimize_and_publish(("batch " + std::to_string(b)).c_str())) {
+    if (++since_reopt == shape.reopt_every) {
+      since_reopt = 0;
+      if (!reoptimize_and_publish(("batch " + std::to_string(b)).c_str())) {
+        return false;
+      }
+    }
+    if (resume_here && !shape.resume_after_apply &&
+        !checkpoint_and_restore()) {
       return false;
     }
-    if (resume_path != nullptr && b == mid) {
-      if (Status saved = session->SaveCheckpoint(*resume_path);
-          !saved.ok()) {
-        *error = "SaveCheckpoint: " + saved.ToString();
-        return false;
-      }
-      session.reset();
-      Result<std::unique_ptr<RLCutSession>> restored =
-          RLCutSession::Restore(*resume_path, sopts);
-      if (!restored.ok()) {
-        *error = "Restore: " + restored.status().ToString();
-        return false;
-      }
-      session = std::move(*restored);
-    }
   }
+  if (since_reopt > 0 && !reoptimize_and_publish("final")) return false;
 
   // Terminal checks: the live state must be internally consistent and
   // the live graph must equal a cold application of the same edits.
@@ -267,7 +346,7 @@ bool DriveLane(const StreamProblem& problem, uint64_t session_seed,
       return false;
     }
   }
-  return true;
+  return MatchesColdState(problem, *state, error);
 }
 
 // Re-tallies every publish of the reference lane against an
@@ -311,13 +390,14 @@ bool RecheckBudgets(const StreamProblem& problem, const LaneTrace& trace,
 }  // namespace
 
 void RunStreamCase(uint64_t seed, LaneReport* report) {
-  for (const char* count : {"publishes", "budget-clamped", "resumes"}) {
+  for (const char* count :
+       {"publishes", "budget-clamped", "resumes", "lazy-resumes"}) {
     report->Add(count, 0);
   }
   const StreamProblem problem(seed);
   LaneTrace reference;
   std::string error;
-  if (!DriveLane(problem, seed, nullptr, nullptr, &reference, &error)) {
+  if (!DriveLane(problem, seed, RunShape{}, &reference, &error)) {
     report->failures.push_back("reference run: " + error);
     return;
   }
@@ -332,7 +412,9 @@ void RunStreamCase(uint64_t seed, LaneReport* report) {
   {
     LaneTrace shuffled;
     CounterRng rng{SplitMix64(seed) ^ 0x5eed};
-    if (!DriveLane(problem, seed, &rng, nullptr, &shuffled, &error)) {
+    RunShape shape;
+    shape.shuffle_rng = &rng;
+    if (!DriveLane(problem, seed, shape, &shuffled, &error)) {
       report->failures.push_back("shuffle run: " + error);
       return;
     }
@@ -347,7 +429,9 @@ void RunStreamCase(uint64_t seed, LaneReport* report) {
   // Resume run: checkpoint mid-stream, restore, finish identically.
   LaneTrace resumed;
   const std::string path = ScratchPath("stream.ckpt");
-  const bool ok = DriveLane(problem, seed, nullptr, &path, &resumed, &error);
+  RunShape resume;
+  resume.resume_path = &path;
+  const bool ok = DriveLane(problem, seed, resume, &resumed, &error);
   RemoveWithSidecars(path);
   if (!ok) {
     report->failures.push_back("resume run: " + error);
@@ -360,6 +444,40 @@ void RunStreamCase(uint64_t seed, LaneReport* report) {
     return;
   }
   report->Add("resumes", 1);
+
+  // Lazy pair: unread applies and a checkpoint taken before any reader
+  // publish exactly what per-apply reads do at the same cadence.
+  RunShape eager;
+  eager.reopt_every = 2 + static_cast<int>(seed % 3);
+  eager.read_after_apply = true;
+  LaneTrace eager_trace;
+  if (!DriveLane(problem, seed, eager, &eager_trace, &error)) {
+    report->failures.push_back("eager-read run: " + error);
+    return;
+  }
+  RunShape lazy;
+  lazy.reopt_every = eager.reopt_every;
+  lazy.resume_path = &path;
+  // The first batch from the middle on that a re-optimization follows:
+  // the checkpoint holds k unread batches, and the restored session is
+  // read before it ingests again.
+  lazy.resume_batch =
+      (kBatches / 2 / lazy.reopt_every + 1) * lazy.reopt_every - 1;
+  lazy.resume_after_apply = true;
+  LaneTrace lazy_trace;
+  const bool lazy_ok = DriveLane(problem, seed, lazy, &lazy_trace, &error);
+  RemoveWithSidecars(path);
+  if (!lazy_ok) {
+    report->failures.push_back("lazy run: " + error);
+    return;
+  }
+  if (lazy_trace.published != eager_trace.published ||
+      lazy_trace.versions != eager_trace.versions) {
+    report->failures.push_back(
+        "deferred re-derives diverged from per-apply reads");
+    return;
+  }
+  report->Add("lazy-resumes", 1);
 }
 
 }  // namespace check

@@ -37,8 +37,9 @@ void GraphBuilder::DeduplicateAndDropSelfLoops() {
                edges_.end());
 }
 
-Graph GraphBuilder::Build() && {
-  Graph g;
+void GraphBuilder::BuildInto(Graph* target) && {
+  Graph& g = *target;
+  g.backing_.reset();
   const VertexId n = num_vertices_;
   const uint64_t m = edges_.size();
 
@@ -86,7 +87,6 @@ Graph GraphBuilder::Build() && {
   }
 
   g.BindViewToOwned();
-  return g;
 }
 
 }  // namespace rlcut

@@ -208,7 +208,19 @@ class GraphBuilder {
   /// released as soon as the out-CSR is fixed (the in-CSR is derived
   /// from the out-CSR), which caps peak memory at roughly the final
   /// graph plus one edge array instead of plus the full accumulator.
-  Graph Build() &&;
+  Graph Build() && {
+    Graph g;
+    std::move(*this).BuildInto(&g);
+    return g;
+  }
+
+  /// Builds the graph into `*target` in place, replacing its contents:
+  /// the target's owned arrays are reused (no reallocation unless they
+  /// must grow) and any view backing is dropped. The Graph object keeps
+  /// its address, so pointers to it (a PartitionState's) stay valid;
+  /// see PartitionState::RefreshGraph. Consumes the builder, releasing
+  /// the accumulator as Build does.
+  void BuildInto(Graph* target) &&;
 
  private:
   VertexId num_vertices_;

@@ -173,27 +173,7 @@ PartitionState::PartitionState(const Graph* graph, const Topology* topology,
   RLCUT_CHECK_EQ(initial_locations_->size(), n);
   RLCUT_CHECK_EQ(input_sizes_->size(), n);
 
-  is_high_.resize(n);
-  apply_bytes_.resize(n);
-  gather_bytes_.resize(n);
-  for (VertexId v = 0; v < n; ++v) {
-    switch (config_.model) {
-      case ComputeModel::kHybridCut:
-        is_high_[v] = graph_->InDegree(v) >= config_.theta ? 1 : 0;
-        break;
-      case ComputeModel::kVertexCut:
-        is_high_[v] = 1;
-        break;
-      case ComputeModel::kEdgeCut:
-        is_high_[v] = 0;
-        break;
-    }
-    apply_bytes_[v] = config_.workload.apply_base_bytes +
-                      config_.workload.apply_bytes_per_out_edge *
-                          graph_->OutDegree(v);
-    gather_bytes_[v] = config_.workload.gather_base_bytes;
-  }
-
+  DeriveVertexClasses();
   masters_.assign(n, 0);
   edge_dc_.assign(graph_->num_edges(), kNoDc);
   cnt_.assign(static_cast<size_t>(n) * num_dcs_, 0);
@@ -218,6 +198,41 @@ PartitionState::PartitionState(const Graph* graph, const Topology* topology,
   }
 }
 
+void PartitionState::DeriveVertexClasses() {
+  const VertexId n = graph_->num_vertices();
+  is_high_.resize(n);
+  apply_bytes_.resize(n);
+  gather_bytes_.resize(n);
+  for (VertexId v = 0; v < n; ++v) {
+    switch (config_.model) {
+      case ComputeModel::kHybridCut:
+        is_high_[v] = graph_->InDegree(v) >= config_.theta ? 1 : 0;
+        break;
+      case ComputeModel::kVertexCut:
+        is_high_[v] = 1;
+        break;
+      case ComputeModel::kEdgeCut:
+        is_high_[v] = 0;
+        break;
+    }
+    apply_bytes_[v] = config_.workload.apply_base_bytes +
+                      config_.workload.apply_bytes_per_out_edge *
+                          graph_->OutDegree(v);
+    gather_bytes_[v] = config_.workload.gather_base_bytes;
+  }
+}
+
+void PartitionState::RefreshGraph() {
+  RLCUT_CHECK(derived_placement_)
+      << "RefreshGraph requires derived placement (hybrid/edge-cut)";
+  RLCUT_CHECK_EQ(graph_->num_vertices(), masters_.size());
+  DeriveVertexClasses();
+  edge_dc_.resize(graph_->num_edges());
+  RefreshPricing();
+  // Never skipped: every graph- and size-dependent field is stale.
+  Derive();
+}
+
 DcId PartitionState::DerivedEdgeDc(EdgeId e) const {
   const VertexId src = graph_->EdgeSource(e);
   const VertexId dst = graph_->EdgeTarget(e);
@@ -235,12 +250,19 @@ bool PartitionState::EdgeFollowsMaster(EdgeId e, VertexId v) const {
 
 void PartitionState::ResetDerived(const std::vector<DcId>& masters) {
   RLCUT_CHECK_EQ(masters.size(), graph_->num_vertices());
-  derived_placement_ = true;
+  // Already derived from exactly these masters (see the header).
+  if (untouched_since_derive_ && masters == masters_) return;
   masters_ = masters;
+  Derive();
+}
+
+void PartitionState::Derive() {
+  derived_placement_ = true;
   for (EdgeId e = 0; e < graph_->num_edges(); ++e) {
     edge_dc_[e] = DerivedEdgeDc(e);
   }
   RebuildFromPlacement();
+  untouched_since_derive_ = true;
 }
 
 void PartitionState::ResetWithPlacement(const std::vector<DcId>& masters,
@@ -248,6 +270,7 @@ void PartitionState::ResetWithPlacement(const std::vector<DcId>& masters,
   RLCUT_CHECK_EQ(masters.size(), graph_->num_vertices());
   RLCUT_CHECK_EQ(edge_dcs.size(), graph_->num_edges());
   derived_placement_ = false;
+  untouched_since_derive_ = false;
   masters_ = masters;
   edge_dc_ = edge_dcs;
   RebuildFromPlacement();
@@ -256,6 +279,7 @@ void PartitionState::ResetWithPlacement(const std::vector<DcId>& masters,
 void PartitionState::ResetUnplaced(const std::vector<DcId>& masters) {
   RLCUT_CHECK_EQ(masters.size(), graph_->num_vertices());
   derived_placement_ = false;
+  untouched_since_derive_ = false;
   masters_ = masters;
   std::fill(edge_dc_.begin(), edge_dc_.end(), kNoDc);
   RebuildFromPlacement();
@@ -264,6 +288,7 @@ void PartitionState::ResetUnplaced(const std::vector<DcId>& masters) {
 void PartitionState::UpdateTopology(const Topology* topology) {
   RLCUT_CHECK(topology != nullptr);
   RLCUT_CHECK_EQ(topology->num_dcs(), num_dcs_);
+  untouched_since_derive_ = false;
   topology_ = topology;
   RefreshPricing();
   // Placement, counters and byte aggregates do not depend on the
@@ -529,6 +554,7 @@ void PartitionState::CollectEdgePlaceDeltas(EdgeId e, DcId to,
 
 void PartitionState::CommitDeltas(EvalScratch* scratch, VertexId move_vertex,
                                   DcId new_master_v) {
+  untouched_since_derive_ = false;
   EvalScratch& s = *scratch;
   const DcId from = s.from_dc_;
   const DcId to = s.to_dc_;

@@ -151,6 +151,17 @@ class PartitionState {
 
   /// Sets masters and derives every edge's DC from the placement rules
   /// of the configured model. Usable for kHybridCut and kEdgeCut.
+  ///
+  /// A no-op when the state already holds exactly what this call would
+  /// produce: the last derive (this call, the constructor's, or
+  /// RefreshGraph's) was from `masters`, and no mutator has run since
+  /// (MoveMaster, PlaceEdge, SetMaster, ResetWithPlacement,
+  /// ResetUnplaced, UpdateTopology). So the common "construct, then
+  /// ResetDerived(initial_locations)" pays for one derive, not two. The
+  /// inputs the state points at are taken as unchanged since that
+  /// derive: after rebuilding the graph or reassigning the input sizes
+  /// in place, call RefreshGraph; after changing the topology, call
+  /// UpdateTopology.
   void ResetDerived(const std::vector<DcId>& masters);
 
   /// Sets masters and an explicit per-edge placement (vertex-cut).
@@ -167,6 +178,15 @@ class PartitionState {
   /// and the accumulated Eq. 4 move cost change. The new topology must
   /// have the same DC count and outlive the state.
   void UpdateTopology(const Topology* topology);
+
+  /// Re-derives every graph-dependent field, keeping the masters, after
+  /// the graph this state points at was rebuilt in place over the same
+  /// vertex set (GraphBuilder::BuildInto, e.g. with more edges) and the
+  /// input sizes were reassigned in place. Reuses the state's storage;
+  /// afterwards every field equals that of a state freshly constructed
+  /// over the new graph and reset with ResetDerived(masters()).
+  /// Derived-placement mode only.
+  void RefreshGraph();
 
   // ---- Mutation ------------------------------------------------------
 
@@ -324,6 +344,14 @@ class PartitionState {
   // Derived placement rule: which DC does edge e live in, given masters.
   DcId DerivedEdgeDc(EdgeId e) const;
 
+  // Classifies every vertex (high-degree or not) and sizes its apply
+  // and gather messages from the graph's degrees and the config.
+  void DeriveVertexClasses();
+
+  // Derives every edge's DC from masters_ and rebuilds all counters
+  // and aggregates from that placement; sets untouched_since_derive_.
+  void Derive();
+
   // Whether a master move of v re-places edge e (see MoveMaster).
   // e must be incident to v.
   bool EdgeFollowsMaster(EdgeId e, VertexId v) const;
@@ -410,6 +438,10 @@ class PartitionState {
 
   // Derived-vs-explicit placement mode (see class comment).
   bool derived_placement_ = true;
+  // True while the state is exactly what Derive() produced from
+  // masters_: set by Derive, cleared by every mutator (see
+  // ResetDerived).
+  bool untouched_since_derive_ = false;
 
   // Per-vertex classification and message sizes.
   std::vector<uint8_t> is_high_;

@@ -66,22 +66,21 @@ Result<std::unique_ptr<RLCutSession>> RLCutSession::Open(
   return session;
 }
 
-void RLCutSession::RebuildState(const std::vector<DcId>& masters) {
+void RLCutSession::Refresh() const {
+  if (!stale_) return;
+  obs::TraceSpan span("session/rebuild", "session");
+  WallTimer timer;
   GraphBuilder builder(num_vertices_);
   builder.AddEdges(edges_);
-  // The state points into the old graph; drop it before the swap.
-  state_.reset();
-  graph_ = std::make_unique<Graph>(std::move(builder).Build());
+  std::move(builder).BuildInto(graph_.get());
   // Input sizes grow with degree, as in the dynamic drivers.
   input_sizes_ = AssignInputSizes(*graph_);
-  PartitionConfig config;
-  config.model = ComputeModel::kHybridCut;
-  config.theta = theta_;
-  config.workload = workload_;
-  state_ = std::make_unique<PartitionState>(graph_.get(), &topology_,
-                                            &locations_, &input_sizes_,
-                                            config);
-  state_->ResetDerived(masters);
+  state_->RefreshGraph();
+  stale_ = false;
+  obs::MetricsRegistry& registry = obs::DefaultRegistry();
+  registry.GetCounter("serve.state_rebuilds")->Increment();
+  registry.GetHistogram("serve.rebuild_seconds")
+      ->Observe(timer.ElapsedSeconds());
 }
 
 Result<ApplyResult> RLCutSession::ApplyDelta(const MicroBatch& batch) {
@@ -127,8 +126,7 @@ Result<ApplyResult> RLCutSession::ApplyDelta(const MicroBatch& batch) {
       endpoints.push_back(te.edge.src);
       endpoints.push_back(te.edge.dst);
     }
-    const std::vector<DcId> carried = state_->masters();
-    RebuildState(carried);
+    stale_ = true;  // the next reader re-derives the live state
     // vertices_affected counts this batch's distinct endpoints.
     std::sort(endpoints.begin(), endpoints.end());
     endpoints.erase(std::unique(endpoints.begin(), endpoints.end()),
@@ -157,6 +155,7 @@ std::vector<VertexId> RLCutSession::TakePendingAffected() {
 Result<ReoptimizeResult> RLCutSession::MaybeReoptimize(
     const MigrationBudget& budget) {
   obs::TraceSpan span("session/reoptimize", "session");
+  Refresh();
   ReoptimizeResult result;
   last_budget_ = budget;
   std::vector<VertexId> eligible;
@@ -228,6 +227,7 @@ Result<PublishedPlan> RLCutSession::PublishPlan() {
     return Status::FailedPrecondition(
         "no plan to publish: MaybeReoptimize must succeed first");
   }
+  Refresh();
   PublishedPlan plan;
   // Publish-time re-clamp: guarantees the per-publish budget invariant
   // even if input sizes shifted since the last re-optimization.
@@ -256,6 +256,8 @@ Result<TopologyUpdateResult> RLCutSession::UpdateTopology(
         std::to_string(topology.num_dcs()));
   }
   RLCUT_RETURN_IF_ERROR(topology.Validate());
+  // Derive pending batches under the topology they were applied in.
+  Refresh();
   TopologyUpdateResult result;
   result.drift = TopologyDrift(topology_, topology);
   const uint64_t changed =
@@ -277,6 +279,7 @@ Result<TopologyUpdateResult> RLCutSession::UpdateTopology(
 
 Status RLCutSession::SaveCheckpoint(const std::string& path) const {
   obs::TraceSpan span("session/checkpoint_save", "session");
+  Refresh();
   ByteWriter writer;
   writer.Write<uint64_t>(num_vertices_);
   writer.Write<uint32_t>(theta_);

@@ -45,14 +45,27 @@ struct TopologyUpdateResult {
 ///
 /// The session owns the problem (fixed vertex set, accumulating edge
 /// set, effective topology) and a persistent per-vertex automaton pool.
-/// ApplyDelta folds a micro-batch into the live graph carrying the
-/// current plan; MaybeReoptimize warm-resumes the automata of the
-/// affected vertices only (full training on the first call) and clamps
-/// the plan to the migration budget; PublishPlan versions the result.
+/// ApplyDelta buffers a micro-batch in the edge log at a cost that
+/// depends on the batch, not the graph; MaybeReoptimize warm-resumes
+/// the automata of the affected vertices only (full training on the
+/// first call) and clamps the plan to the migration budget;
+/// PublishPlan versions the result.
 /// SaveCheckpoint/Restore make the whole session crash-tolerant: a
 /// restored session continues the stream bit-identically (the trainer
 /// is re-seeded per pass from the options, so state + pool + pending
 /// set determine every subsequent decision).
+///
+/// The live graph, the input sizes and the PartitionState are
+/// re-derived lazily: once, in place, at the first reader after one or
+/// more applies (MaybeReoptimize, PublishPlan, UpdateTopology,
+/// SaveCheckpoint, live_state), from the whole edge log and the
+/// carried masters. Masters change only inside readers, so this yields
+/// exactly the state an eager per-apply rebuild would. Each re-derive
+/// is traced as a `session/rebuild` span inside its reader and counted
+/// in `serve.state_rebuilds`.
+///
+/// A session is single-threaded: even its const readers may re-derive
+/// the live state, so calls must not overlap.
 class RLCutSession : public PartitioningSession {
  public:
   /// Copies the problem out of `ctx` (validated). The initial plan is
@@ -64,9 +77,11 @@ class RLCutSession : public PartitioningSession {
 
   std::string method() const override { return "RLCut"; }
 
-  /// Folds a micro-batch into the live graph, carrying the current
-  /// masters across the rebuild and marking the batch's endpoints for
-  /// the next re-optimization. Fault site: session.ingest_fail.
+  /// Validates a micro-batch, appends it to the edge log and marks its
+  /// endpoints for the next re-optimization; the cost is independent of
+  /// the graph size. The live state is re-derived at the next reader,
+  /// so apply_seconds measures buffering only. Fault site:
+  /// session.ingest_fail.
   Result<ApplyResult> ApplyDelta(const MicroBatch& batch) override;
 
   /// Warm-trains the pending affected vertices (all vertices on the
@@ -81,10 +96,16 @@ class RLCutSession : public PartitioningSession {
   /// Fault site: session.publish_fail.
   Result<PublishedPlan> PublishPlan() override;
 
-  const PartitionState* live_state() const override { return state_.get(); }
+  /// The live state over every applied edge (re-derived first if
+  /// batches were applied since the last reader).
+  const PartitionState* live_state() const override {
+    Refresh();
+    return state_.get();
+  }
 
   /// Re-prices the live layout under a new effective topology (same DC
-  /// count) and, at or above the drift threshold, marks the vertices
+  /// count), after re-deriving pending batches under the old one, and,
+  /// at or above the drift threshold, marks the vertices
   /// replicated in changed DCs for re-training — the TopologySchedule
   /// integration point; stream batches and topology events share the
   /// SimTime timeline.
@@ -93,7 +114,8 @@ class RLCutSession : public PartitioningSession {
   // ---- Checkpoint / resume -------------------------------------------
 
   /// Atomically writes the full session (problem, plan, automaton pool,
-  /// publish baseline, pending set, watermark) to `path`; "RLCUTSSN" v1
+  /// publish baseline, pending set, watermark) to `path`, re-deriving
+  /// the live state first if batches are pending; "RLCUTSSN" v1
   /// envelope (common/byte_io.h), rotating the previous file to
   /// `path`.prev as a fallback slot.
   Status SaveCheckpoint(const std::string& path) const;
@@ -133,9 +155,12 @@ class RLCutSession : public PartitioningSession {
  private:
   explicit RLCutSession(RLCutSessionOptions options);
 
-  // Rebuilds graph_/input_sizes_/state_ from edges_ and reinstates
-  // `masters` (the dynamic-driver rebuild idiom; vertex ids are stable).
-  void RebuildState(const std::vector<DcId>& masters);
+  // The one re-derive, run by every reader: when batches were applied
+  // since the last one, rebuilds graph_ in place from edges_, reassigns
+  // input_sizes_ from the new degrees and re-derives state_ from its
+  // own (carried) masters. Const so that const readers can call it;
+  // safe because a session is single-threaded.
+  void Refresh() const;
 
   // Decodes one checkpoint payload into a fresh session (needs the
   // private constructor, hence a member).
@@ -153,14 +178,18 @@ class RLCutSession : public PartitioningSession {
   std::vector<Edge> edges_;
   Topology topology_;
   std::vector<DcId> locations_;
-  std::vector<double> input_sizes_;
+  mutable std::vector<double> input_sizes_;  // re-derived by Refresh
   Workload workload_;
   uint32_t theta_ = 100;
   double cost_budget_ = 0;
   uint64_t seed_ = 1;
 
-  std::unique_ptr<Graph> graph_;
-  std::unique_ptr<PartitionState> state_;
+  // Re-derived in place by Refresh; the objects keep their addresses.
+  mutable std::unique_ptr<Graph> graph_;
+  mutable std::unique_ptr<PartitionState> state_;
+  // True when edges_ holds batches that graph_/input_sizes_/state_ do
+  // not reflect yet.
+  mutable bool stale_ = false;
   std::unique_ptr<AutomatonPool> pool_;
 
   // Session lifecycle state.

@@ -310,14 +310,7 @@ bool TrainLoop::Start(AutomatonPool* pool) {
   // Sampling order: ascending degree (Sec. V-C: low-degree agents
   // contribute most per unit of training time). The descending order is
   // kept only for the Fig. 9 ablation.
-  const bool descending = options.sample_highest_degree_first;
-  std::sort(eligible.begin(), eligible.end(),
-            [this, descending](VertexId a, VertexId b) {
-              const uint32_t da = graph.Degree(a);
-              const uint32_t db = graph.Degree(b);
-              if (da != db) return descending ? da > db : da < db;
-              return a < b;
-            });
+  SortAgentsByDegree(graph, options.sample_highest_degree_first, &eligible);
 
   // Hub ordering for the importance-sampling extension: agents with the
   // largest apply-message volume first (see RLCutOptions).
@@ -886,6 +879,32 @@ TrainResult TrainLoop::Finish() {
 }
 
 }  // namespace
+
+void SortAgentsByDegree(const Graph& graph, bool descending,
+                        std::vector<VertexId>* agents) {
+  std::vector<VertexId>& ids = *agents;
+  // The counting sort is stable, so id-ordered input keeps equal-degree
+  // agents in id order.
+  if (!std::is_sorted(ids.begin(), ids.end())) {
+    std::sort(ids.begin(), ids.end());
+  }
+  std::vector<uint32_t> degree(ids.size());
+  uint32_t max_degree = 0;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    degree[i] = graph.Degree(ids[i]);
+    max_degree = std::max(max_degree, degree[i]);
+  }
+  // Bucket k holds degree k (ascending) or max_degree - k (descending).
+  std::vector<size_t> start(static_cast<size_t>(max_degree) + 2, 0);
+  for (uint32_t d : degree) ++start[(descending ? max_degree - d : d) + 1];
+  for (size_t k = 1; k < start.size(); ++k) start[k] += start[k - 1];
+  std::vector<VertexId> sorted(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const uint32_t d = degree[i];
+    sorted[start[descending ? max_degree - d : d]++] = ids[i];
+  }
+  ids = std::move(sorted);
+}
 
 Status ValidateRLCutOptions(const RLCutOptions& options) {
   if (options.max_steps <= 0) {

@@ -108,6 +108,14 @@ struct TrainResult {
 /// itself clamps out-of-range values instead of crashing.
 Status ValidateRLCutOptions(const RLCutOptions& options);
 
+/// The trainer's sampling order (Sec. V-C): `agents` by ascending
+/// degree, or descending for the Fig. 9 ablation, ties by ascending id.
+/// A stable counting sort over the degrees, O(|agents| + the largest
+/// degree among them), preceded by an id sort only when `agents` is not
+/// already ascending.
+void SortAgentsByDegree(const Graph& graph, bool descending,
+                        std::vector<VertexId>* agents);
+
 class RLCutTrainer {
  public:
   /// Fallible construction: validates `options` and returns a trainer,

@@ -1,7 +1,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -114,6 +116,63 @@ TEST(GraphBuilderTest, EmptyGraph) {
   for (VertexId v = 0; v < 5; ++v) {
     EXPECT_TRUE(g.OutNeighbors(v).empty());
     EXPECT_TRUE(g.InNeighbors(v).empty());
+  }
+}
+
+void ExpectSameCsr(const Graph& a, const Graph& b) {
+  ASSERT_EQ(a.num_vertices(), b.num_vertices());
+  ASSERT_EQ(a.num_edges(), b.num_edges());
+  for (VertexId v = 0; v <= a.num_vertices(); ++v) {
+    EXPECT_EQ(a.view().out_offsets[v], b.view().out_offsets[v]);
+    EXPECT_EQ(a.view().in_offsets[v], b.view().in_offsets[v]);
+  }
+  for (EdgeId e = 0; e < a.num_edges(); ++e) {
+    EXPECT_EQ(a.view().out_targets[e], b.view().out_targets[e]);
+    EXPECT_EQ(a.view().edge_sources[e], b.view().edge_sources[e]);
+    EXPECT_EQ(a.view().in_sources[e], b.view().in_sources[e]);
+    EXPECT_EQ(a.view().in_edge_ids[e], b.view().in_edge_ids[e]);
+  }
+}
+
+TEST(GraphBuilderTest, BuildIntoReplacesAViewBackedGraph) {
+  // The target wraps another graph's arrays, as a mapped .rlg does.
+  auto owner = std::make_shared<Graph>(GenerateRing(16, 2));
+  Graph target = Graph::FromView(owner->view(), owner);
+  ASSERT_TRUE(target.view_backed());
+
+  std::vector<Edge> edges;
+  for (EdgeId e = 0; e < owner->num_edges(); ++e) {
+    edges.push_back(owner->GetEdge(e));
+  }
+  edges.push_back({3, 9});
+  edges.push_back({9, 3});
+  GraphBuilder into(16);
+  into.AddEdges(edges);
+  std::move(into).BuildInto(&target);
+  GraphBuilder fresh(16);
+  fresh.AddEdges(edges);
+  const Graph expected = std::move(fresh).Build();
+
+  EXPECT_FALSE(target.view_backed());
+  ExpectSameCsr(target, expected);
+  EXPECT_EQ(owner->num_edges(), 32u);  // the old backing is untouched
+}
+
+TEST(GraphBuilderTest, BuildIntoReusesTheTargetsStorage) {
+  Graph target = GenerateRing(64, 4);
+  const VertexId* targets_before = target.view().out_targets;
+  const uint64_t* offsets_before = target.view().out_offsets;
+  // Same vertex set, fewer edges: nothing needs to grow.
+  GraphBuilder b(64);
+  for (VertexId v = 0; v < 64; ++v) b.AddEdge(v, (v + 7) % 64);
+  std::move(b).BuildInto(&target);
+  EXPECT_EQ(target.view().out_targets, targets_before);
+  EXPECT_EQ(target.view().out_offsets, offsets_before);
+  EXPECT_EQ(target.num_edges(), 64u);
+  for (VertexId v = 0; v < 64; ++v) {
+    ASSERT_EQ(target.OutDegree(v), 1u);
+    EXPECT_EQ(target.OutNeighbors(v)[0], (v + 7) % 64);
+    EXPECT_EQ(target.InNeighbors((v + 7) % 64)[0], v);
   }
 }
 

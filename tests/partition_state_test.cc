@@ -1,6 +1,7 @@
 #include <cmath>
 #include <memory>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -492,6 +493,153 @@ TEST(PartitionStateTest, VertexCutModelAllHighDegree) {
   c.model = ComputeModel::kVertexCut;
   Instance inst(std::move(b).Build(), MakeUniformTopology(2), c);
   EXPECT_EQ(inst.state->NumHighDegree(), 3u);
+}
+
+// ---- ResetDerived repeats no derive, and every mutator voids that ------
+
+// Compares every observable field of two states, bit for bit.
+void ExpectSameState(const PartitionState& a, const PartitionState& b) {
+  ASSERT_EQ(a.graph().num_vertices(), b.graph().num_vertices());
+  ASSERT_EQ(a.graph().num_edges(), b.graph().num_edges());
+  ASSERT_EQ(a.num_dcs(), b.num_dcs());
+  EXPECT_EQ(a.masters(), b.masters());
+  for (EdgeId e = 0; e < a.graph().num_edges(); ++e) {
+    ASSERT_EQ(a.edge_dc(e), b.edge_dc(e)) << "edge " << e;
+  }
+  for (VertexId v = 0; v < a.graph().num_vertices(); ++v) {
+    ASSERT_EQ(a.is_high_degree(v), b.is_high_degree(v)) << "vertex " << v;
+    ASSERT_EQ(a.ApplyBytes(v), b.ApplyBytes(v)) << "vertex " << v;
+    ASSERT_EQ(a.ReplicaMask(v), b.ReplicaMask(v)) << "vertex " << v;
+    ASSERT_EQ(a.GatherMirrorMask(v), b.GatherMirrorMask(v)) << "vertex " << v;
+  }
+  for (DcId r = 0; r < a.num_dcs(); ++r) {
+    EXPECT_EQ(a.MasterCount(r), b.MasterCount(r)) << "dc " << r;
+    EXPECT_EQ(a.EdgeCount(r), b.EdgeCount(r)) << "dc " << r;
+    EXPECT_EQ(a.ReplicaCountInDc(r), b.ReplicaCountInDc(r)) << "dc " << r;
+  }
+  EXPECT_EQ(a.TotalReplicaCount(), b.TotalReplicaCount());
+  EXPECT_EQ(a.MoveCost(), b.MoveCost());
+  EXPECT_EQ(a.WanBytesPerIteration(), b.WanBytesPerIteration());
+  EXPECT_EQ(a.CurrentObjective().transfer_seconds,
+            b.CurrentObjective().transfer_seconds);
+  EXPECT_EQ(a.CurrentObjective().cost_dollars,
+            b.CurrentObjective().cost_dollars);
+  EXPECT_EQ(a.CurrentObjective().smooth_seconds,
+            b.CurrentObjective().smooth_seconds);
+  EXPECT_TRUE(a.CheckInvariants());
+  EXPECT_TRUE(b.CheckInvariants());
+}
+
+// A state derived from `original` (masters away from the initial
+// locations, so the Eq. 4 term is live), mutated by one mutator, then
+// reset to `original` again: it must equal a cold state reset to it.
+class ResetDerivedAfterMutationTest : public ::testing::Test {
+ protected:
+  ResetDerivedAfterMutationTest()
+      : inst_(MakeGraph(), MakeEc2Topology(4, Heterogeneity::kMedium),
+              HybridConfig(8)) {
+    original_ = inst_.locations;
+    for (VertexId v = 0; v < original_.size(); v += 3) {
+      original_[v] = static_cast<DcId>((original_[v] + 1) % 4);
+    }
+    inst_.state->ResetDerived(original_);
+  }
+
+  static Graph MakeGraph() {
+    PowerLawOptions gen;
+    gen.num_vertices = 200;
+    gen.num_edges = 1600;
+    gen.seed = 9;
+    return GeneratePowerLaw(gen);
+  }
+
+  std::vector<DcId> EdgeDcs() const {
+    std::vector<DcId> edge_dcs(inst_.graph.num_edges());
+    for (EdgeId e = 0; e < edge_dcs.size(); ++e) {
+      edge_dcs[e] = inst_.state->edge_dc(e);
+    }
+    return edge_dcs;
+  }
+
+  void ExpectColdEqual(const Topology* topology) {
+    inst_.state->ResetDerived(original_);
+    PartitionState cold(&inst_.graph, topology, &inst_.locations,
+                        &inst_.sizes, inst_.state->config());
+    cold.ResetDerived(original_);
+    ExpectSameState(*inst_.state, cold);
+  }
+
+  Instance inst_;
+  std::vector<DcId> original_;
+};
+
+TEST_F(ResetDerivedAfterMutationTest, MoveMaster) {
+  for (VertexId v = 0; v < 40; ++v) {
+    inst_.state->MoveMaster(v, static_cast<DcId>((original_[v] + 2) % 4));
+  }
+  ExpectColdEqual(&inst_.topology);
+}
+
+TEST_F(ResetDerivedAfterMutationTest, PlaceEdge) {
+  const std::vector<DcId> edge_dcs = EdgeDcs();
+  inst_.state->ResetWithPlacement(original_, edge_dcs);
+  for (EdgeId e = 0; e < 50; ++e) {
+    inst_.state->PlaceEdge(e, static_cast<DcId>((edge_dcs[e] + 1) % 4));
+  }
+  ExpectColdEqual(&inst_.topology);
+}
+
+TEST_F(ResetDerivedAfterMutationTest, SetMaster) {
+  const std::vector<DcId> edge_dcs = EdgeDcs();
+  inst_.state->ResetWithPlacement(original_, edge_dcs);
+  // Away and back: the masters end where they started, the placement
+  // stays explicit.
+  inst_.state->SetMaster(5, static_cast<DcId>((original_[5] + 1) % 4));
+  inst_.state->SetMaster(5, original_[5]);
+  ExpectColdEqual(&inst_.topology);
+}
+
+TEST_F(ResetDerivedAfterMutationTest, ResetWithPlacement) {
+  // Same masters, every edge in DC 0.
+  inst_.state->ResetWithPlacement(
+      original_, std::vector<DcId>(inst_.graph.num_edges(), 0));
+  ExpectColdEqual(&inst_.topology);
+}
+
+TEST_F(ResetDerivedAfterMutationTest, ResetUnplaced) {
+  inst_.state->ResetUnplaced(original_);
+  ExpectColdEqual(&inst_.topology);
+}
+
+TEST_F(ResetDerivedAfterMutationTest, UpdateTopology) {
+  std::vector<DataCenter> dcs = inst_.topology.dcs();
+  for (DataCenter& dc : dcs) {
+    dc.uplink_gbps *= 0.7;
+    dc.upload_price *= 1.5;
+  }
+  const Topology degraded(std::move(dcs));
+  inst_.state->UpdateTopology(&degraded);
+  ExpectColdEqual(&degraded);
+}
+
+TEST_F(ResetDerivedAfterMutationTest, RefreshGraph) {
+  // Grow the graph in place over the same vertex set, as a streaming
+  // session does, then reassign the degree-driven sizes in place.
+  const Graph more = MakeGraph();
+  GraphBuilder builder(inst_.graph.num_vertices());
+  for (EdgeId e = 0; e < inst_.graph.num_edges(); ++e) {
+    builder.AddEdge(inst_.graph.GetEdge(e));
+  }
+  for (EdgeId e = 0; e < more.num_edges(); e += 2) {
+    builder.AddEdge(more.EdgeTarget(e), more.EdgeSource(e));
+  }
+  std::move(builder).BuildInto(&inst_.graph);
+  for (VertexId v = 0; v < inst_.graph.num_vertices(); ++v) {
+    inst_.sizes[v] = 4096.0 + 512.0 * inst_.graph.Degree(v);
+  }
+  inst_.state->RefreshGraph();
+  EXPECT_EQ(inst_.state->graph().num_edges(), 2400u);
+  ExpectColdEqual(&inst_.topology);
 }
 
 }  // namespace

@@ -6,8 +6,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/partitioner.h"
@@ -16,6 +18,7 @@
 #include "graph/stream.h"
 #include "graph/temporal.h"
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
 #include "partition/migration.h"
 #include "rlcut/session.h"
 
@@ -201,6 +204,48 @@ TEST_F(SessionTest, LifecycleOrderAndInputValidation) {
   auto idle = session.MaybeReoptimize(MigrationBudget::Unlimited());
   ASSERT_TRUE(idle.ok());
   EXPECT_FALSE(idle->reoptimized);
+}
+
+TEST_F(SessionTest, AppliesDeferTheRebuildToTheNextReader) {
+  const std::string path = ::testing::TempDir() + "/session_rebuild.ckpt";
+  auto opened = RLCutSession::Open(ctx_, SessionOpts());
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  RLCutSession& session = **opened;
+  const obs::Counter* rebuilds =
+      obs::DefaultRegistry().GetCounter("serve.state_rebuilds");
+  const auto batches = SuffixBatches(6);
+
+  // Two applies, then the first reader: exactly one rebuild, and a
+  // second reader with nothing pending adds none.
+  const uint64_t start = rebuilds->value();
+  ASSERT_TRUE(session.ApplyDelta(batches[0]).ok());
+  ASSERT_TRUE(session.ApplyDelta(batches[1]).ok());
+  EXPECT_EQ(rebuilds->value(), start);
+  ASSERT_TRUE(session.MaybeReoptimize(MigrationBudget::Unlimited()).ok());
+  EXPECT_EQ(rebuilds->value(), start + 1);
+  ASSERT_TRUE(session.PublishPlan().ok());
+  EXPECT_EQ(rebuilds->value(), start + 1);
+
+  // Every other reader re-derives a pending batch once.
+  const std::vector<std::pair<const char*, std::function<void()>>> readers =
+      {{"live_state", [&] { ASSERT_NE(session.live_state(), nullptr); }},
+       {"PublishPlan", [&] { ASSERT_TRUE(session.PublishPlan().ok()); }},
+       {"UpdateTopology",
+        [&] { ASSERT_TRUE(session.UpdateTopology(topology_).ok()); }},
+       {"SaveCheckpoint",
+        [&] { ASSERT_TRUE(session.SaveCheckpoint(path).ok()); }}};
+  for (size_t i = 0; i < readers.size(); ++i) {
+    const uint64_t before = rebuilds->value();
+    ASSERT_FALSE(batches[2 + i].edges.empty());
+    ASSERT_TRUE(session.ApplyDelta(batches[2 + i]).ok());
+    EXPECT_EQ(rebuilds->value(), before) << readers[i].first;
+    readers[i].second();
+    EXPECT_EQ(rebuilds->value(), before + 1) << readers[i].first;
+  }
+  EXPECT_EQ(session.live_state()->graph().num_edges(), kEdges);
+  EXPECT_TRUE(session.live_state()->CheckInvariants());
+  std::remove(path.c_str());
+  std::remove((path + ".prev").c_str());
 }
 
 TEST_F(SessionTest, MigrationBudgetRespectedExactly) {

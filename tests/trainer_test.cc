@@ -1,6 +1,9 @@
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <numeric>
+#include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -63,6 +66,49 @@ class TrainerTest : public ::testing::Test {
   std::vector<double> sizes_;
   PartitionerContext ctx_;
 };
+
+TEST_F(TrainerTest, SamplingOrderMatchesTheDegreeComparator) {
+  // The comparator order the counting sort replaces: degree, then id.
+  auto reference = [this](std::vector<VertexId> ids, bool descending) {
+    std::sort(ids.begin(), ids.end(), [&](VertexId a, VertexId b) {
+      const uint32_t da = graph_.Degree(a);
+      const uint32_t db = graph_.Degree(b);
+      if (da != db) return descending ? da > db : da < db;
+      return a < b;
+    });
+    return ids;
+  };
+  Rng rng(21);
+  std::vector<VertexId> all(graph_.num_vertices());
+  std::iota(all.begin(), all.end(), 0u);
+  std::vector<VertexId> shuffled = all;
+  for (size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1], shuffled[rng.UniformInt(i)]);
+  }
+  // A random unsorted subset with repeated ids.
+  std::vector<VertexId> repeats;
+  for (int i = 0; i < 300; ++i) {
+    repeats.push_back(
+        static_cast<VertexId>(rng.UniformInt(graph_.num_vertices())));
+  }
+  // Ties matter: a power-law graph has many vertices of equal degree.
+  std::set<uint32_t> degrees;
+  for (VertexId v : all) degrees.insert(graph_.Degree(v));
+  ASSERT_LT(degrees.size(), all.size() / 4);
+  for (bool descending : {false, true}) {
+    for (const std::vector<VertexId>* input :
+         {&all, &shuffled, &repeats}) {
+      std::vector<VertexId> sorted = *input;
+      SortAgentsByDegree(graph_, descending, &sorted);
+      EXPECT_EQ(sorted, reference(*input, descending))
+          << (descending ? "descending" : "ascending") << ", input size "
+          << input->size();
+    }
+  }
+  std::vector<VertexId> none;
+  SortAgentsByDegree(graph_, false, &none);
+  EXPECT_TRUE(none.empty());
+}
 
 TEST_F(TrainerTest, ImprovesOverNaturalPartitioning) {
   PartitionState state = NaturalState();

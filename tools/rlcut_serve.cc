@@ -18,9 +18,10 @@
 // net::RetryPolicy (bounded attempts, jittered exponential backoff);
 // retry pressure is reported in the summary. SIGINT and SIGTERM drain
 // cleanly: the current batch finishes, a final plan is published, and
-// the summary (sustained edges/sec, p99 micro-batch apply latency) is
-// printed. Exits non-zero if no plan was published, or if a replica
-// endpoint was attached and did not converge by drain time.
+// the summary (sustained edges/sec, p99 micro-batch apply latency,
+// state rebuilds) is printed. Exits non-zero if no plan was published,
+// or if a replica endpoint was attached and did not converge by drain
+// time.
 
 #include <csignal>
 #include <cstdio>
@@ -380,24 +381,30 @@ int main(int argc, char** argv) {
   const double wall = run_timer.ElapsedSeconds();
   const double sustained =
       ingest_wall_seconds > 0 ? edges_ingested / ingest_wall_seconds : 0;
+  // An apply only buffers its batch; the session re-derives its state
+  // at the next reader, so the rebuilds are reported beside the apply
+  // latency.
+  rlcut::obs::MetricsRegistry& registry = rlcut::obs::DefaultRegistry();
   std::printf(
       "served %lld micro-batches in %.2fs wall%s: %llu edges ingested "
       "(%.0f edges/sec sustained), %llu publishes, %llu vertices "
-      "migrated, p99 apply %.2fms, %llu ingest / %llu publish errors "
-      "retried\n",
+      "migrated, p99 apply %.2fms, %llu state rebuilds (%.2fs), %llu "
+      "ingest / %llu publish errors retried\n",
       static_cast<long long>(batches), wall,
       g_interrupted ? " (interrupted)" : "",
       static_cast<unsigned long long>(edges_ingested), sustained,
       static_cast<unsigned long long>(publishes),
       static_cast<unsigned long long>(vertices_migrated),
       Percentile(apply_seconds, 0.99) * 1e3,
+      static_cast<unsigned long long>(
+          registry.GetCounter("serve.state_rebuilds")->value()),
+      registry.GetHistogram("serve.rebuild_seconds")->sum(),
       static_cast<unsigned long long>(ingest_errors),
       static_cast<unsigned long long>(publish_errors));
 
   // Retry pressure and replica-link health, from the shared registry
   // (RetryCall and ReplicaClient record their counters there).
-  for (const rlcut::obs::MetricSample& sample :
-       rlcut::obs::DefaultRegistry().Snapshot()) {
+  for (const rlcut::obs::MetricSample& sample : registry.Snapshot()) {
     const bool relevant = sample.name.rfind("retry.", 0) == 0 ||
                           sample.name.rfind("net.client.", 0) == 0;
     if (relevant && sample.value > 0) {

@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
     };
 
     for (const char* name : {"RandPG", "HashPL", "Ginger", "Spinner"}) {
-      auto partitioner = MakePartitionerByName(name);
+      auto partitioner = MakePartitionerByName(name, {}).value();
       evaluate(name, std::move(partitioner->RunOrDie(problem->ctx).state));
     }
     {

@@ -58,8 +58,8 @@ int main(int argc, char** argv) {
   };
 
   for (const char* name : {"RandPG", "HashPL", "Ginger", "Spinner"}) {
-    evaluate(name,
-             std::move(MakePartitionerByName(name)->RunOrDie(problem->ctx).state));
+    auto partitioner = MakePartitionerByName(name, {}).value();
+    evaluate(name, std::move(partitioner->RunOrDie(problem->ctx).state));
   }
   {
     RLCutOptions opt = bench::BenchRLCutOptionsDeterministic(

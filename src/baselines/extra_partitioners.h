@@ -81,12 +81,6 @@ struct SingleAgentRlOptions {
 std::unique_ptr<Partitioner> MakeSingleAgentRl(
     SingleAgentRlOptions options = {});
 
-/// Legacy name lookup: returns nullptr for unknown names. Thin wrapper
-/// over the registry in baselines/partitioner.h, which is the preferred
-/// API (it also knows "RLCut" and accepts PartitionerOptions).
-/// Implemented alongside the registry in rlcut_core.
-std::unique_ptr<Partitioner> MakePartitionerByName(const std::string& name);
-
 }  // namespace rlcut
 
 #endif  // RLCUT_BASELINES_EXTRA_PARTITIONERS_H_

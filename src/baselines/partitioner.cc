@@ -1,84 +1,25 @@
 #include "baselines/partitioner.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/logging.h"
-#include "common/timer.h"
-#include "graph/geo.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace rlcut {
-
-Status ValidatePartitionerContext(const PartitionerContext& ctx) {
-  if (ctx.graph == nullptr) {
-    return Status::InvalidArgument("PartitionerContext: graph is null");
-  }
-  if (ctx.topology == nullptr) {
-    return Status::InvalidArgument("PartitionerContext: topology is null");
-  }
-  if (ctx.locations == nullptr) {
-    return Status::InvalidArgument("PartitionerContext: locations is null");
-  }
-  if (ctx.input_sizes == nullptr) {
-    return Status::InvalidArgument("PartitionerContext: input_sizes is null");
-  }
-  const size_t n = ctx.graph->num_vertices();
-  if (ctx.locations->size() != n) {
-    return Status::InvalidArgument(
-        "PartitionerContext: locations covers " +
-        std::to_string(ctx.locations->size()) + " vertices but the graph has " +
-        std::to_string(n));
-  }
-  if (ctx.input_sizes->size() != n) {
-    return Status::InvalidArgument(
-        "PartitionerContext: input_sizes covers " +
-        std::to_string(ctx.input_sizes->size()) +
-        " vertices but the graph has " + std::to_string(n));
-  }
-  const int num_dcs = ctx.topology->num_dcs();
-  if (num_dcs < 1 || num_dcs > kMaxDataCenters) {
-    return Status::InvalidArgument("PartitionerContext: topology has " +
-                                   std::to_string(num_dcs) +
-                                   " DCs, expected 1.." +
-                                   std::to_string(kMaxDataCenters));
-  }
-  for (size_t v = 0; v < n; ++v) {
-    const DcId loc = (*ctx.locations)[v];
-    if (loc < 0 || loc >= num_dcs) {
-      return Status::InvalidArgument(
-          "PartitionerContext: vertex " + std::to_string(v) +
-          " located at DC " + std::to_string(loc) +
-          " outside the topology's " + std::to_string(num_dcs) + " DCs");
-    }
-  }
-  if (ctx.budget < 0) {
-    return Status::InvalidArgument("PartitionerContext: negative budget " +
-                                   std::to_string(ctx.budget));
-  }
-  return Status::Ok();
-}
 
 Result<PartitionOutput> Partitioner::Run(const PartitionerContext& ctx) {
   RLCUT_RETURN_IF_ERROR(ValidatePartitionerContext(ctx));
   obs::TraceSpan span("partition/run", "partition");
   span.AddArg("num_vertices", static_cast<double>(ctx.graph->num_vertices()));
   span.AddArg("num_dcs", static_cast<double>(ctx.topology->num_dcs()));
-  // A batch run is the degenerate session: one unlimited
-  // re-optimization over a borrowed context, then take the output.
-  OneShotSession session(this, ctx);
-  Result<ReoptimizeResult> reopt =
-      session.MaybeReoptimize(MigrationBudget::Unlimited());
-  if (!reopt.ok()) return reopt.status();
-  Result<PartitionOutput> out = session.TakeOutput();
-  if (!out.ok()) return out.status();
-  span.AddArg("overhead_seconds", out->overhead_seconds);
+  PartitionOutput out = DoRun(ctx);
+  span.AddArg("overhead_seconds", out.overhead_seconds);
   obs::MetricsRegistry& registry = obs::DefaultRegistry();
   const obs::LabelSet method_label = {{"method", name()}};
   registry.GetCounter("partitioner.runs", method_label)->Increment();
   registry.GetHistogram("partitioner.overhead_seconds", method_label)
-      ->Observe(out->overhead_seconds);
+      ->Observe(out.overhead_seconds);
   return out;
 }
 
@@ -90,29 +31,10 @@ PartitionOutput Partitioner::RunOrDie(const PartitionerContext& ctx) {
 
 // ---- OneShotSession ----------------------------------------------------
 
-OneShotSession::OneShotSession(Partitioner* partitioner,
+OneShotSession::OneShotSession(std::unique_ptr<Partitioner> partitioner,
                                const PartitionerContext& ctx)
-    : partitioner_(partitioner), borrowed_ctx_(&ctx) {}
-
-OneShotSession::OneShotSession(std::unique_ptr<Partitioner> owned,
-                               const PartitionerContext& ctx)
-    : partitioner_(owned.get()),
-      owned_method_(std::move(owned)),
-      num_vertices_(ctx.graph->num_vertices()),
-      topology_(*ctx.topology),
-      locations_(*ctx.locations),
-      input_sizes_(*ctx.input_sizes),
-      workload_(ctx.workload),
-      theta_(ctx.theta),
-      cost_budget_(ctx.budget),
-      seed_(ctx.seed) {
-  edges_.reserve(ctx.graph->num_edges());
-  for (EdgeId e = 0; e < ctx.graph->num_edges(); ++e) {
-    edges_.push_back(ctx.graph->GetEdge(e));
-  }
-  graph_ = std::make_unique<Graph>(*ctx.graph);
-  last_published_masters_ = locations_;
-}
+    : PartitioningSession(ctx, partitioner->model()),
+      partitioner_(std::move(partitioner)) {}
 
 Result<std::unique_ptr<OneShotSession>> OneShotSession::Open(
     std::unique_ptr<Partitioner> partitioner, const PartitionerContext& ctx) {
@@ -124,132 +46,11 @@ Result<std::unique_ptr<OneShotSession>> OneShotSession::Open(
       new OneShotSession(std::move(partitioner), ctx));
 }
 
-std::string OneShotSession::method() const { return partitioner_->name(); }
-
-PartitionerContext OneShotSession::CurrentContext() const {
-  if (borrowed_ctx_ != nullptr) return *borrowed_ctx_;
-  PartitionerContext ctx;
-  ctx.graph = graph_.get();
-  ctx.topology = &topology_;
-  ctx.locations = &locations_;
-  ctx.input_sizes = &input_sizes_;
-  ctx.workload = workload_;
-  ctx.theta = theta_;
-  ctx.budget = cost_budget_;
-  ctx.seed = seed_;
-  return ctx;
-}
-
-Result<ApplyResult> OneShotSession::ApplyDelta(const MicroBatch& batch) {
-  if (borrowed_ctx_ != nullptr) {
-    return Status::FailedPrecondition(
-        "one-shot session over a borrowed context cannot ingest deltas; "
-        "open an owned session (OneShotSession::Open or "
-        "OpenPartitioningSession)");
-  }
-  if (batch.watermark < watermark_) {
-    return Status::InvalidArgument(
-        "micro-batch watermark moved backwards: " +
-        std::to_string(batch.watermark.seconds()) + "s after " +
-        std::to_string(watermark_.seconds()) + "s");
-  }
-  WallTimer timer;
-  std::vector<VertexId> affected;
-  affected.reserve(batch.edges.size() * 2);
-  for (const TimedEdge& te : batch.edges) {
-    if (te.edge.src >= num_vertices_ || te.edge.dst >= num_vertices_) {
-      return Status::OutOfRange(
-          "micro-batch edge (" + std::to_string(te.edge.src) + ", " +
-          std::to_string(te.edge.dst) + ") outside the fixed vertex set of " +
-          std::to_string(num_vertices_));
-    }
-    affected.push_back(te.edge.src);
-    affected.push_back(te.edge.dst);
-  }
-  for (const TimedEdge& te : batch.edges) edges_.push_back(te.edge);
-  if (!batch.edges.empty()) graph_dirty_ = true;
-  watermark_ = batch.watermark;
-  std::sort(affected.begin(), affected.end());
-  affected.erase(std::unique(affected.begin(), affected.end()),
-                 affected.end());
-  ApplyResult result;
-  result.edges_applied = batch.edges.size();
-  result.vertices_affected = affected.size();
-  result.apply_seconds = timer.ElapsedSeconds();
-  result.watermark = watermark_;
-  return result;
-}
-
-Result<ReoptimizeResult> OneShotSession::MaybeReoptimize(
-    const MigrationBudget& budget) {
-  if (borrowed_ctx_ == nullptr && graph_dirty_) {
-    GraphBuilder builder(num_vertices_);
-    builder.AddEdges(edges_);
-    // Output state points into the old graph; drop it first.
-    output_.reset();
-    graph_ = std::make_unique<Graph>(std::move(builder).Build());
-    // Input sizes grow with degree, as in the dynamic drivers.
-    input_sizes_ = AssignInputSizes(*graph_);
-    graph_dirty_ = false;
-  }
-  const PartitionerContext ctx = CurrentContext();
-  // Batch methods have no incremental state: every pass is a cold
-  // re-partitioning of the accumulated graph.
-  PartitionOutput out = partitioner_->DoRun(ctx);
-  ReoptimizeResult result;
-  result.reoptimized = true;
-  result.trained_vertices = ctx.graph->num_vertices();
-  if (!budget.IsUnlimited()) {
-    const std::vector<DcId>& baseline = borrowed_ctx_ != nullptr
-                                            ? *borrowed_ctx_->locations
-                                            : last_published_masters_;
-    const BudgetClampResult clamp = EnforceMigrationBudget(
-        &out.state, baseline, *ctx.input_sizes, budget);
-    result.reverted_vertices = clamp.reverted;
-  }
-  result.overhead_seconds = out.overhead_seconds;
-  result.objective = out.state.CurrentObjective();
-  last_budget_ = budget;
-  output_ = std::make_unique<PartitionOutput>(std::move(out));
-  return result;
-}
-
-Result<PublishedPlan> OneShotSession::PublishPlan() {
-  if (output_ == nullptr) {
-    return Status::FailedPrecondition(
-        "no plan to publish: MaybeReoptimize must succeed first");
-  }
-  if (borrowed_ctx_ != nullptr) {
-    return Status::FailedPrecondition(
-        "one-shot session over a borrowed context has no publish "
-        "lifecycle; use TakeOutput");
-  }
-  PartitionState& state = output_->state;
-  PublishedPlan plan;
-  const BudgetClampResult clamp = EnforceMigrationBudget(
-      &state, last_published_masters_, input_sizes_, last_budget_);
-  plan.reverted_vertices = clamp.reverted;
-  plan.masters = state.masters();
-  plan.migration = PlanMigration(last_published_masters_, plan.masters,
-                                 input_sizes_, topology_);
-  plan.objective = state.CurrentObjective();
-  plan.version = ++version_;
-  last_published_masters_ = plan.masters;
-  return plan;
-}
-
-const PartitionState* OneShotSession::live_state() const {
-  return output_ == nullptr ? nullptr : &output_->state;
-}
-
-Result<PartitionOutput> OneShotSession::TakeOutput() {
-  if (output_ == nullptr) {
-    return Status::FailedPrecondition(
-        "no output to take: MaybeReoptimize must succeed first");
-  }
-  PartitionOutput out = std::move(*output_);
-  output_.reset();
-  return out;
+void OneShotSession::Adapt(std::vector<VertexId> /*eligible*/,
+                           bool /*first_pass*/) {
+  // The method's state points at this session's problem copies, which
+  // keep their addresses.
+  *state_ = partitioner_->DoRun(context()).state;
 }
 
 }  // namespace rlcut

@@ -14,25 +14,6 @@
 
 namespace rlcut {
 
-/// Everything a partitioner needs to run: the problem instance of
-/// Sec. III plus method-wide knobs.
-struct PartitionerContext {
-  const Graph* graph = nullptr;
-  const Topology* topology = nullptr;
-  /// Initial vertex locations L_v.
-  const std::vector<DcId>* locations = nullptr;
-  /// Input data sizes d_v (bytes).
-  const std::vector<double>* input_sizes = nullptr;
-  /// Workload whose traffic the partitioning is optimized for.
-  Workload workload = Workload::PageRank();
-  /// Hybrid-cut high-degree threshold.
-  uint32_t theta = 100;
-  /// Budget B on total inter-DC communication cost (Eq. 7), dollars.
-  /// Only budget-aware methods (Geo-Cut, RLCut) consult it.
-  double budget = 0;
-  uint64_t seed = 1;
-};
-
 /// A produced partitioning plus the measured optimization overhead
 /// (Table III's metric).
 struct PartitionOutput {
@@ -43,24 +24,15 @@ struct PartitionOutput {
   double overhead_seconds = 0;
 };
 
-/// Validates everything Partitioner::Run assumes about a context:
-/// non-null graph/topology/locations/input_sizes, location and size
-/// vectors covering every vertex, locations within the topology's DC
-/// range, and a non-negative budget. Returns InvalidArgument with a
-/// precise message instead of aborting.
-Status ValidatePartitionerContext(const PartitionerContext& ctx);
-
 /// Common interface for all static partitioning methods (Sec. VI-A3).
 ///
-/// Run() is a thin wrapper over the session abstraction: it validates
-/// the context (returning a Status instead of crashing on null graphs,
-/// dcs mismatches or a negative budget), opens a "partition/run" trace
-/// span, drives a borrowed-context OneShotSession through one unlimited
-/// MaybeReoptimize (which delegates to the method's DoRun()), and
-/// records the optimization overhead in the default metrics registry —
-/// so every method, including ones added later, is instrumented through
-/// this single hook, and batch runs and streaming sessions exercise the
-/// same code path.
+/// Run() validates the context (returning a Status instead of crashing
+/// on null graphs, dcs mismatches or a negative budget), opens a
+/// "partition/run" trace span, calls the method's DoRun() and records
+/// the optimization overhead in the default metrics registry, so every
+/// method, including ones added later, is instrumented through this
+/// single hook. A method whose problem evolves runs in a
+/// PartitioningSession instead (OneShotSession below re-runs DoRun).
 class Partitioner {
  public:
   virtual ~Partitioner() = default;
@@ -73,9 +45,7 @@ class Partitioner {
 
   /// Computes a partitioning. Self-times: the returned overhead is the
   /// wall-clock optimization time. Fails with InvalidArgument on a bad
-  /// context instead of aborting. Equivalent to opening a one-shot
-  /// session, re-optimizing once without a migration budget, and taking
-  /// the output.
+  /// context instead of aborting.
   Result<PartitionOutput> Run(const PartitionerContext& ctx);
 
   /// Convenience for callers with known-good contexts (tests, benches):
@@ -87,78 +57,32 @@ class Partitioner {
   virtual PartitionOutput DoRun(const PartitionerContext& ctx) = 0;
 
  private:
-  // The session adapter invokes DoRun on the wrapped method.
+  // The session kind for batch methods re-runs DoRun on its own
+  // (already validated) problem.
   friend class OneShotSession;
 };
 
-/// PartitioningSession adapter for batch (non-incremental) methods.
-///
-/// Two modes:
-///  * Borrowed: wraps a caller-owned Partitioner and context for the
-///    duration of one Run() call. ApplyDelta is FailedPrecondition —
-///    the context is not owned, so the problem cannot evolve.
-///  * Owned (Open): copies the problem out of the context and owns the
-///    wrapped partitioner, so the session outlives the caller's
-///    buffers and can ingest micro-batches. Each MaybeReoptimize
-///    re-partitions the accumulated graph from scratch (these methods
-///    have no incremental state), then clamps to the migration budget.
+/// PartitioningSession for batch (non-incremental) methods: owns the
+/// wrapped partitioner, and every MaybeReoptimize that has changes to
+/// adapt to re-partitions the whole live problem from scratch with the
+/// method's DoRun (these methods keep no incremental state), then
+/// clamps to the migration budget.
 class OneShotSession : public PartitioningSession {
  public:
-  /// Borrowed mode; `partitioner` and everything `ctx` points at must
-  /// outlive the session. The context must already be validated.
-  OneShotSession(Partitioner* partitioner, const PartitionerContext& ctx);
-
-  /// Owned mode: validates `ctx`, copies the problem, takes ownership
-  /// of the method.
+  /// Validates `ctx`, copies the problem, takes ownership of the method.
   static Result<std::unique_ptr<OneShotSession>> Open(
       std::unique_ptr<Partitioner> partitioner, const PartitionerContext& ctx);
 
-  std::string method() const override;
-  Result<ApplyResult> ApplyDelta(const MicroBatch& batch) override;
-  Result<ReoptimizeResult> MaybeReoptimize(
-      const MigrationBudget& budget) override;
-  Result<PublishedPlan> PublishPlan() override;
-  const PartitionState* live_state() const override;
+  std::string method() const override { return partitioner_->name(); }
 
-  /// Moves the produced PartitionOutput out of the session (the batch
-  /// Run() return value). FailedPrecondition before the first
-  /// successful MaybeReoptimize or after a previous take.
-  Result<PartitionOutput> TakeOutput();
+ protected:
+  void Adapt(std::vector<VertexId> eligible, bool first_pass) override;
 
  private:
-  OneShotSession(std::unique_ptr<Partitioner> owned,
+  OneShotSession(std::unique_ptr<Partitioner> partitioner,
                  const PartitionerContext& ctx);
 
-  // Context for the next cold run: the borrowed context verbatim, or
-  // one assembled over the owned problem copies.
-  PartitionerContext CurrentContext() const;
-
-  Partitioner* partitioner_;                  // wrapped method
-  std::unique_ptr<Partitioner> owned_method_; // engaged in owned mode
-
-  // Borrowed mode only.
-  const PartitionerContext* borrowed_ctx_ = nullptr;
-
-  // Owned-problem copies (owned mode). The graph is rebuilt lazily
-  // after deltas accumulate.
-  VertexId num_vertices_ = 0;
-  std::vector<Edge> edges_;
-  Topology topology_;
-  std::vector<DcId> locations_;
-  std::vector<double> input_sizes_;
-  Workload workload_;
-  uint32_t theta_ = 100;
-  double cost_budget_ = 0;
-  uint64_t seed_ = 1;
-  std::unique_ptr<Graph> graph_;
-  bool graph_dirty_ = false;
-  SimTime watermark_ = SimTime::Min();
-
-  // Output of the last re-optimization.
-  std::unique_ptr<PartitionOutput> output_;
-  MigrationBudget last_budget_;
-  uint64_t version_ = 0;
-  std::vector<DcId> last_published_masters_;
+  std::unique_ptr<Partitioner> partitioner_;
 };
 
 // ---- String-keyed registry --------------------------------------------
@@ -217,9 +141,10 @@ struct SessionOptions {
 };
 
 /// Opens a session for a registry method over `ctx`. "RLCut" opens the
-/// incremental RLCutSession (rlcut/session.h); every other method is
-/// wrapped in an owned OneShotSession. Implemented next to the registry
-/// in rlcut/partitioner_registry.cc.
+/// incremental RLCutSession (rlcut/session.h) and "Spinner" the
+/// incremental SpinnerSession (baselines/spinner.h); every other method
+/// is wrapped in a OneShotSession. Implemented next to the registry in
+/// rlcut/partitioner_registry.cc.
 Result<std::unique_ptr<PartitioningSession>> OpenPartitioningSession(
     const std::string& method, const PartitionerContext& ctx,
     const SessionOptions& options = {});
@@ -258,8 +183,8 @@ struct RevolverOptions {
 std::unique_ptr<Partitioner> MakeRevolver(RevolverOptions options = {});
 
 /// Spinner: label-propagation edge-cut (Martella et al., ICDE'17) with
-/// capacity-constrained moves; also provides the incremental interface
-/// used in the dynamic experiments.
+/// capacity-constrained moves; SpinnerSession (baselines/spinner.h) is
+/// its incremental mode, used in the dynamic experiments.
 struct SpinnerOptions {
   int max_iterations = 30;
   /// Loosened capacity: a partition accepts up to

@@ -120,4 +120,15 @@ std::unique_ptr<Partitioner> MakeSpinner(SpinnerOptions options) {
   return std::make_unique<SpinnerPartitioner>(options);
 }
 
+Result<std::unique_ptr<SpinnerSession>> SpinnerSession::Open(
+    const PartitionerContext& ctx, SpinnerOptions options) {
+  RLCUT_RETURN_IF_ERROR(ValidatePartitionerContext(ctx));
+  return std::unique_ptr<SpinnerSession>(new SpinnerSession(ctx, options));
+}
+
+void SpinnerSession::Adapt(std::vector<VertexId> eligible, bool first_pass) {
+  Rng rng(first_pass ? seed_ : seed_ + 1);
+  SpinnerCore(options_).Refine(state_.get(), std::move(eligible), &rng);
+}
+
 }  // namespace rlcut

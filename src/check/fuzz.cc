@@ -8,12 +8,14 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/fixtures.h"
 #include "check/lane.h"
 #include "cloud/topology.h"
 #include "cloud/topology_schedule.h"
+#include "common/byte_io.h"
 #include "common/random.h"
 #include "graph/graph.h"
 #include "graph/rlg.h"
@@ -22,6 +24,7 @@
 #include "partition/plan_delta.h"
 #include "partition/plan_io.h"
 #include "rlcut/checkpoint.h"
+#include "rlcut/session.h"
 
 namespace rlcut {
 namespace check {
@@ -794,6 +797,164 @@ Status NetFrameLoadOnce(const std::string& bytes) {
   return Status::Ok();
 }
 
+// ---- Session corpus --------------------------------------------------
+
+// RLCutSession::SaveCheckpoint's envelope magic ("RLCUTSSN" v1). The
+// envelope layout is the trainer checkpoint's, so
+// RefixCheckpointChecksum applies to session files too.
+constexpr char kSessionMagic[8] = {'R', 'L', 'C', 'U', 'T', 'S', 'S', 'N'};
+constexpr uint32_t kSessionVersion = 1;
+
+// A session payload over 4 vertices, 2 DCs and 3 edges, field by field
+// in SaveCheckpoint's order. `variant` picks one shape: "" is a session
+// mid-stream (trained, published twice, one vertex pending), "fresh" one
+// just opened; the rest are invalid: a vertex-indexed array one entry
+// short ("locations", "input_sizes", "masters", "last_published",
+// "affected"), a pool of the wrong size ("pool"), an edge past the
+// vertex set ("edge"), a master outside the DCs ("dc") or no DCs
+// ("no-dcs").
+std::string SessionPayload(const std::string& variant) {
+  const uint64_t n = 4;
+  const int32_t dcs = variant == "no-dcs" ? 0 : 2;
+  auto length = [&](const char* array) {
+    return variant == array ? n - 1 : n;
+  };
+  auto dc_array = [&](const char* array) {
+    std::vector<DcId> values(length(array));
+    for (size_t v = 0; v < values.size(); ++v) {
+      values[v] = static_cast<DcId>(v % 2);
+    }
+    return values;
+  };
+  const bool fresh = variant == "fresh";
+  ByteWriter w;
+  w.Write<uint64_t>(n);
+  w.Write<uint32_t>(5);       // theta
+  w.Write<double>(10.0);      // cost budget
+  w.Write<uint64_t>(7);       // seed
+  w.Write<int32_t>(dcs);
+  for (int32_t r = 0; r < dcs; ++r) {
+    w.WriteString("dc" + std::to_string(r));
+    w.Write<double>(1.0);     // uplink Gbps
+    w.Write<double>(2.0);     // downlink Gbps
+    w.Write<double>(0.05);    // upload price
+  }
+  w.WriteVector(dc_array("locations"));
+  w.WriteVector(std::vector<Edge>{
+      {0, 1}, {1, 2}, {2, variant == "edge" ? VertexId{4} : VertexId{3}}});
+  w.WriteString("PageRank");
+  w.Write<double>(8.0);       // apply base bytes
+  w.Write<double>(4.0);       // apply bytes per out-edge
+  w.Write<double>(8.0);       // gather base bytes
+  w.WriteVector(std::vector<double>{1.0, 1.0});  // activity
+  w.WriteVector(std::vector<double>(length("input_sizes"), 1e6));
+  std::vector<DcId> masters = dc_array("masters");
+  if (variant == "dc") masters[0] = 2;
+  if (!fresh && masters.size() > 1) masters[1] = 0;
+  w.WriteVector(masters);
+  const uint64_t pool_vertices = length("pool");
+  w.Write<uint64_t>(pool_vertices);
+  w.Write<int32_t>(dcs);
+  const size_t pool_size = pool_vertices * static_cast<size_t>(dcs);
+  w.WriteVector(std::vector<double>(pool_size, 0.5));     // prob
+  w.WriteVector(std::vector<double>(pool_size, 0.25));    // mean_q
+  w.WriteVector(std::vector<uint32_t>(pool_size, 3));     // count
+  w.Write<uint8_t>(fresh ? 0 : 1);                        // trained once
+  w.Write<uint64_t>(fresh ? 0 : 2);                       // version
+  w.WriteVector(dc_array("last_published"));
+  w.Write<uint64_t>(fresh ? ~uint64_t{0} : 12);           // budget vertices
+  w.Write<double>(1e9);                                   // budget bytes
+  w.Write<int64_t>(fresh ? INT64_MIN : 3600000000);       // watermark
+  std::vector<uint8_t> affected(length("affected"), 0);
+  if (!fresh) affected[2] = 1;
+  w.WriteVector(affected);
+  return w.bytes();
+}
+
+std::vector<CorpusCase> SessionCorpus() {
+  std::vector<CorpusCase> corpus;
+  const std::string payload = SessionPayload("");
+  const std::string valid =
+      WrapEnvelope(kSessionMagic, kSessionVersion, payload);
+  corpus.push_back({"valid", valid, true});
+  corpus.push_back(
+      {"valid-fresh",
+       WrapEnvelope(kSessionMagic, kSessionVersion, SessionPayload("fresh")),
+       true});
+
+  corpus.push_back({"empty-file", std::string(), false});
+  corpus.push_back({"truncated-header", valid.substr(0, 10), false});
+  corpus.push_back(
+      {"truncated-file", valid.substr(0, valid.size() - 5), false});
+  // Checksum-valid envelopes around a cut payload reach the decoder.
+  for (size_t keep : {size_t{4}, payload.size() / 3, payload.size() / 2,
+                      payload.size() - 1}) {
+    corpus.push_back(
+        {"truncated-payload-" + std::to_string(keep),
+         WrapEnvelope(kSessionMagic, kSessionVersion, payload.substr(0, keep)),
+         false});
+  }
+  const std::pair<const char*, const char*> invalid[] = {
+      {"mismatched-locations-size", "locations"},
+      {"mismatched-input-sizes-size", "input_sizes"},
+      {"mismatched-masters-size", "masters"},
+      {"mismatched-last-published-size", "last_published"},
+      {"mismatched-pending-flags-size", "affected"},
+      {"mismatched-pool-size", "pool"},
+      {"edge-out-of-range", "edge"},
+      {"master-dc-out-of-range", "dc"},
+      {"zero-dcs", "no-dcs"}};
+  for (const auto& [name, variant] : invalid) {
+    corpus.push_back(
+        {name,
+         WrapEnvelope(kSessionMagic, kSessionVersion, SessionPayload(variant)),
+         false});
+  }
+  corpus.push_back({"trailing-bytes",
+                    WrapEnvelope(kSessionMagic, kSessionVersion,
+                                 payload + std::string(3, '\0')),
+                    false});
+  corpus.push_back({"bad-magic",
+                    WrapEnvelope(kCkpMagic, kSessionVersion, payload), false});
+  corpus.push_back({"bad-version",
+                    WrapEnvelope(kSessionMagic, kSessionVersion + 1, payload),
+                    false});
+  {
+    std::string bad = valid;
+    bad[kCkpHeaderBytes + 3] ^= 0x10;  // payload byte, stale checksum
+    corpus.push_back({"checksum-mismatch", bad, false});
+  }
+  return corpus;
+}
+
+// Restores a session from `path`; an accepted file must re-save and
+// reload to the same problem, plan and lifecycle state.
+Status SessionLoadOnce(const std::string& path) {
+  Result<std::unique_ptr<RLCutSession>> loaded =
+      RLCutSession::Restore(path, RLCutSessionOptions{});
+  if (!loaded.ok()) return loaded.status();
+  const std::string copy = ScratchPath("fuzz");
+  Status save = (*loaded)->SaveCheckpoint(copy);
+  Result<std::unique_ptr<RLCutSession>> again(Status::Internal("not run"));
+  if (save.ok()) again = RLCutSession::Restore(copy, RLCutSessionOptions{});
+  RemoveWithSidecars(copy);
+  if (!save.ok()) return Status::Internal(save.message());
+  if (!again.ok()) {
+    return Status::Internal("round-trip reload failed: " +
+                            again.status().message());
+  }
+  const RLCutSession& a = **loaded;
+  const RLCutSession& b = **again;
+  if (a.num_vertices() != b.num_vertices() ||
+      a.num_edges() != b.num_edges() || a.version() != b.version() ||
+      a.watermark() != b.watermark() ||
+      a.last_published_masters() != b.last_published_masters() ||
+      a.live_state()->masters() != b.live_state()->masters()) {
+    return Status::Internal("round-trip changed the session");
+  }
+  return Status::Ok();
+}
+
 // ---- Loader execution ------------------------------------------------
 
 // The 4-DC reference environment every schedule corpus entry validates
@@ -892,6 +1053,8 @@ Status LoadOnce(LoaderKind kind, const std::string& path) {
       // Frames are stream bytes, not files; RunLoaderOnBytes dispatches
       // them before the scratch-file round-trip.
       return NetFrameLoadOnce(std::string());
+    case LoaderKind::kSession:
+      return SessionLoadOnce(path);
   }
   return Status::Internal("unknown loader kind");
 }
@@ -910,6 +1073,8 @@ const char* LoaderName(LoaderKind kind) {
       return "rlg-graph";
     case LoaderKind::kNetFrame:
       return "net-frame";
+    case LoaderKind::kSession:
+      return "session";
   }
   return "?";
 }
@@ -926,6 +1091,8 @@ std::vector<CorpusCase> BuildSeedCorpus(LoaderKind kind) {
       return RlgCorpus();
     case LoaderKind::kNetFrame:
       return NetFrameCorpus();
+    case LoaderKind::kSession:
+      return SessionCorpus();
   }
   return {};
 }
@@ -1016,10 +1183,11 @@ void FuzzLoader(LoaderKind kind, uint64_t seed, LaneReport* report) {
       }
     }
   }
-  // Half the checkpoint / .rlg / net-frame mutants get a valid checksum
-  // so mutations reach the payload / section validators instead of
-  // dying at the checksum gate.
-  if (kind == LoaderKind::kCheckpoint && rng.Bernoulli(0.5)) {
+  // Half the checkpoint / session / .rlg / net-frame mutants get a valid
+  // checksum so mutations reach the payload / section validators instead
+  // of dying at the checksum gate.
+  if ((kind == LoaderKind::kCheckpoint || kind == LoaderKind::kSession) &&
+      rng.Bernoulli(0.5)) {
     RefixCheckpointChecksum(&bytes);
   }
   if (kind == LoaderKind::kRlgGraph && rng.Bernoulli(0.5)) {

@@ -19,11 +19,12 @@ enum class LoaderKind {
   kRlgGraph,     // MmapGraph::Open ("RLCUTRLG" mapped dual-CSR format)
   kNetFrame,     // FrameDecoder + replica protocol payloads ("RLNF"
                  // wire stream; bytes are fed directly, not via a file)
+  kSession,      // RLCutSession::Restore ("RLCUTSSN" binary format)
 };
 
 inline constexpr LoaderKind kAllLoaders[] = {
-    LoaderKind::kCheckpoint, LoaderKind::kPlan, LoaderKind::kNetSchedule,
-    LoaderKind::kRlgGraph, LoaderKind::kNetFrame};
+    LoaderKind::kCheckpoint, LoaderKind::kPlan,     LoaderKind::kNetSchedule,
+    LoaderKind::kRlgGraph,   LoaderKind::kNetFrame, LoaderKind::kSession};
 
 const char* LoaderName(LoaderKind kind);
 

@@ -20,6 +20,14 @@ bool StreamBuffer::Push(const StreamEvent& event) {
   return true;
 }
 
+MicroBatch MicroBatchAt(const std::vector<Edge>& edges, SimTime time) {
+  MicroBatch batch;
+  batch.watermark = time;
+  batch.edges.reserve(edges.size());
+  for (const Edge& e : edges) batch.edges.push_back(TimedEdge{e, time});
+  return batch;
+}
+
 MicroBatch StreamBuffer::Cut(SimTime watermark) {
   if (cut_once_) {
     RLCUT_CHECK_GE(watermark.micros(), last_watermark_.micros())

@@ -31,6 +31,10 @@ struct MicroBatch {
   bool empty() const { return edges.empty(); }
 };
 
+/// A window of untimed edges (e.g. a SplitEdges slice) as one
+/// micro-batch: every edge stamped `time`, which is also the watermark.
+MicroBatch MicroBatchAt(const std::vector<Edge>& edges, SimTime time);
+
 /// Running totals of what the buffer has seen.
 struct StreamBufferStats {
   /// Events admitted into some batch (past or pending).

@@ -12,8 +12,9 @@ namespace rlcut {
 /// every vertex whose master moves must ship its input data (and
 /// accumulated state) from the old master DC to the new one. This is
 /// the re-partitioning migration the paper's dynamic experiments imply
-/// but never price; the dynamic drivers report it so window budgets can
-/// account for deployment, not just optimization.
+/// but never price; every published session plan reports it
+/// (PublishedPlan::migration) so window budgets can account for
+/// deployment, not just optimization.
 struct MigrationSummary {
   uint64_t vertices_moved = 0;
   double bytes_moved = 0;

@@ -223,14 +223,19 @@ void PartitionState::DeriveVertexClasses() {
 }
 
 void PartitionState::RefreshGraph() {
-  RLCUT_CHECK(derived_placement_)
-      << "RefreshGraph requires derived placement (hybrid/edge-cut)";
   RLCUT_CHECK_EQ(graph_->num_vertices(), masters_.size());
   DeriveVertexClasses();
   edge_dc_.resize(graph_->num_edges());
   RefreshPricing();
   // Never skipped: every graph- and size-dependent field is stale.
-  Derive();
+  if (derived_placement_) {
+    Derive();
+    return;
+  }
+  // Edge ids do not survive a rebuild: an explicit placement restarts
+  // unplaced (the caller re-places what it carried).
+  std::fill(edge_dc_.begin(), edge_dc_.end(), kNoDc);
+  RebuildFromPlacement();
 }
 
 DcId PartitionState::DerivedEdgeDc(EdgeId e) const {

@@ -184,8 +184,8 @@ class PartitionState {
   /// vertex set (GraphBuilder::BuildInto, e.g. with more edges) and the
   /// input sizes were reassigned in place. Reuses the state's storage;
   /// afterwards every field equals that of a state freshly constructed
-  /// over the new graph and reset with ResetDerived(masters()).
-  /// Derived-placement mode only.
+  /// over the new graph and reset with ResetDerived(masters()), or, in
+  /// explicit-placement mode, with ResetUnplaced(masters()).
   void RefreshGraph();
 
   // ---- Mutation ------------------------------------------------------
@@ -266,6 +266,9 @@ class PartitionState {
   const Graph& graph() const { return *graph_; }
   const Topology& topology() const { return *topology_; }
   const PartitionConfig& config() const { return config_; }
+  /// True when edge placement follows the masters (ResetDerived), false
+  /// for an explicit placement (ResetWithPlacement / ResetUnplaced).
+  bool derived_placement() const { return derived_placement_; }
   int num_dcs() const { return topology_->num_dcs(); }
 
   DcId master(VertexId v) const { return masters_[v]; }

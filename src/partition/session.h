@@ -3,21 +3,50 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "cloud/topology.h"
 #include "common/sim_time.h"
 #include "common/status.h"
+#include "graph/graph.h"
 #include "graph/stream.h"
 #include "partition/migration.h"
 #include "partition/partition_state.h"
+#include "partition/workload.h"
 
 namespace rlcut {
 
+/// Everything a partitioner needs to run: the problem instance of
+/// Sec. III plus method-wide knobs.
+struct PartitionerContext {
+  const Graph* graph = nullptr;
+  const Topology* topology = nullptr;
+  /// Initial vertex locations L_v.
+  const std::vector<DcId>* locations = nullptr;
+  /// Input data sizes d_v (bytes).
+  const std::vector<double>* input_sizes = nullptr;
+  /// Workload whose traffic the partitioning is optimized for.
+  Workload workload = Workload::PageRank();
+  /// Hybrid-cut high-degree threshold.
+  uint32_t theta = 100;
+  /// Budget B on total inter-DC communication cost (Eq. 7), dollars.
+  /// Only budget-aware methods (Geo-Cut, RLCut) consult it.
+  double budget = 0;
+  uint64_t seed = 1;
+};
+
+/// Validates everything a partitioner or session assumes about a
+/// context: non-null graph/topology/locations/input_sizes, location and
+/// size vectors covering every vertex, locations within the topology's
+/// DC range, and a non-negative budget. Returns InvalidArgument with a
+/// precise message instead of aborting.
+Status ValidatePartitionerContext(const PartitionerContext& ctx);
+
 /// Cap on how much a single published plan may move relative to the
 /// previously published plan (or the initial locations L_v before the
-/// first publish). The default is unlimited, which makes a one-shot
-/// batch run a degenerate session.
+/// first publish). The default is unlimited.
 struct MigrationBudget {
   /// Maximum vertices whose master may differ from the baseline.
   uint64_t max_vertices = std::numeric_limits<uint64_t>::max();
@@ -48,6 +77,9 @@ struct ReoptimizeResult {
   /// False when there was nothing to adapt (no pending affected
   /// vertices); the plan is unchanged.
   bool reoptimized = false;
+  /// Vertices the pass handed to the method: all of them on the first
+  /// pass, the changed ones afterwards (a cold re-run still
+  /// re-partitions everything).
   uint64_t trained_vertices = 0;
   /// Moves undone by the migration-budget clamp.
   uint64_t reverted_vertices = 0;
@@ -72,48 +104,164 @@ struct PublishedPlan {
 };
 
 /// A long-lived partitioning over a live problem: the session owns the
-/// problem instance and carries learned state across micro-batches.
+/// problem instance (fixed vertex set, an edge log that batches grow
+/// and removals shrink, topology, initial locations) and carries its
+/// method's learned state across micro-batches.
 ///
-///   Open(problem) -> ApplyDelta(batch)* -> MaybeReoptimize(budget)
-///     -> PublishPlan() -> ... repeat ...
+///   Open(problem) -> ApplyDelta(batch)* / RemoveEdges(edges)*
+///     -> MaybeReoptimize(budget) -> PublishPlan() -> ... repeat ...
 ///
-/// This is the one abstraction both execution styles share. A batch run
-/// is the degenerate session — open, one unlimited re-optimization, one
-/// take — which is exactly what Partitioner::Run does (see
-/// baselines/partitioner.h). The streaming daemon (tools/rlcut_serve)
-/// drives the full loop against RLCutSession (rlcut/session.h).
+/// This class is the one implementation of that loop: one micro-batch
+/// validation, one edge log, one lazy in-place re-derive of the live
+/// graph and state, and one re-optimize/publish skeleton around a
+/// per-method Adapt hook. The kinds differ only in Adapt:
+/// RLCutSession (rlcut/session.h) warm-trains the changed vertices'
+/// automata, SpinnerSession and LeopardSession (baselines/) adapt
+/// incrementally, and OneShotSession (baselines/partitioner.h) re-runs
+/// a batch method cold. The streaming daemon (tools/rlcut_serve) drives
+/// the loop for any registry method.
+///
+/// The live graph, the input sizes (which grow with degree) and the
+/// PartitionState are re-derived lazily: once, in place, at the first
+/// reader after one or more changes (MaybeReoptimize, PublishPlan,
+/// live_state and the subclasses' readers), from the whole edge log and
+/// the carried masters. An explicit (vertex-cut) edge placement is
+/// carried by (src, dst); edges new to the log come back unplaced for
+/// the method to place. Each re-derive is traced as a `session/rebuild`
+/// span inside its reader and counted in `serve.state_rebuilds`.
 ///
 /// Error handling: every method returns Result<>/Status; malformed
 /// input (out-of-range endpoints, non-monotone watermarks, calls out of
-/// order) yields InvalidArgument/FailedPrecondition, never a crash.
+/// order) yields InvalidArgument/OutOfRange/FailedPrecondition, never a
+/// crash. A session is single-threaded: even its const readers may
+/// re-derive the live state, so calls must not overlap.
 class PartitioningSession {
  public:
   virtual ~PartitioningSession() = default;
+  PartitioningSession(const PartitioningSession&) = delete;
+  PartitioningSession& operator=(const PartitioningSession&) = delete;
 
   /// Registry name of the underlying method, e.g. "RLCut".
   virtual std::string method() const = 0;
 
   /// Ingests one micro-batch of timestamped edge insertions (see
   /// graph/stream.h for the buffer that builds deterministic batches
-  /// from out-of-order transports). Batch watermarks must not move
-  /// backwards. Vertex ids must be within the problem's fixed vertex
-  /// set.
-  virtual Result<ApplyResult> ApplyDelta(const MicroBatch& batch) = 0;
+  /// from out-of-order transports): validates it, appends it to the
+  /// edge log and marks its endpoints for the next re-optimization, at
+  /// a cost independent of the graph size. Edges must be sorted by time
+  /// and at or before the batch watermark (InvalidArgument), the
+  /// watermark must not move backwards (InvalidArgument), and endpoints
+  /// must lie in the fixed vertex set (OutOfRange); a rejected batch
+  /// changes nothing. Fault site: session.ingest_fail.
+  Result<ApplyResult> ApplyDelta(const MicroBatch& batch);
 
-  /// Adapts the plan to everything applied since the last call, then
-  /// clamps the plan so the move-set vs the last published plan stays
-  /// within `budget`. No-ops (reoptimized=false) when nothing changed.
-  virtual Result<ReoptimizeResult> MaybeReoptimize(
-      const MigrationBudget& budget) = 0;
+  /// Removes edges with multiset semantics: each entry deletes one
+  /// matching (src, dst) occurrence from the edge log, the earliest
+  /// first; entries with no occurrence left are ignored. Marks the
+  /// endpoints of the removed edges for the next re-optimization;
+  /// edges_applied counts the removed edges. One scan of the edge log.
+  /// OutOfRange, removing nothing, if an entry names a vertex outside
+  /// the fixed vertex set.
+  Result<ApplyResult> RemoveEdges(const std::vector<Edge>& edges);
+
+  /// Adapts the plan to every change since the last call (the whole
+  /// problem on the first call), then clamps the plan so the move-set
+  /// vs the last published plan stays within `budget`. No-ops
+  /// (reoptimized=false, plan unchanged) when nothing changed.
+  Result<ReoptimizeResult> MaybeReoptimize(const MigrationBudget& budget);
 
   /// Snapshots the live plan as a new published version. The migration
   /// delta vs the previous published version respects the budget of the
-  /// last MaybeReoptimize on every publish.
-  virtual Result<PublishedPlan> PublishPlan() = 0;
+  /// last MaybeReoptimize on every publish (a publish-time re-clamp
+  /// guarantees it even if input sizes shifted since). FailedPrecondition
+  /// before the first successful MaybeReoptimize. Fault site:
+  /// session.publish_fail.
+  Result<PublishedPlan> PublishPlan();
 
-  /// The live partition state, or nullptr before the first successful
-  /// re-optimization produced one.
-  virtual const PartitionState* live_state() const = 0;
+  /// The live state over every applied edge, re-derived first if
+  /// changes are pending. Before the first re-optimization it holds the
+  /// initial plan: every master at L_v (vertex-cut edges unplaced).
+  const PartitionState* live_state() const {
+    Refresh();
+    return state_.get();
+  }
+
+  SimTime watermark() const { return watermark_; }
+  uint64_t version() const { return version_; }
+  uint64_t num_edges() const { return edges_.size(); }
+  VertexId num_vertices() const { return num_vertices_; }
+  const Topology& topology() const { return topology_; }
+  const std::vector<DcId>& last_published_masters() const {
+    return last_published_masters_;
+  }
+
+ protected:
+  /// Copies the problem out of `ctx`, which must be valid
+  /// (ValidatePartitionerContext), and starts the live state under
+  /// `model` at the initial plan: every master at L_v, the zero-
+  /// migration baseline the first publish is budgeted against.
+  PartitioningSession(const PartitionerContext& ctx, ComputeModel model);
+
+  /// An empty session, for a subclass that restores every member from a
+  /// checkpoint and then calls BuildLiveState.
+  PartitioningSession() = default;
+
+  /// The method's adaptation of the (re-derived) live state, run by
+  /// MaybeReoptimize before the budget clamp. `eligible` lists, in
+  /// ascending order, every vertex on the first pass (`first_pass`) and
+  /// afterwards the vertices marked since the last pass: endpoints of
+  /// applied and removed edges, plus any a subclass marked.
+  virtual void Adapt(std::vector<VertexId> eligible, bool first_pass) = 0;
+
+  /// Runs right after MaybeReoptimize clamped the adapted plan.
+  virtual void AfterClamp() {}
+
+  /// Re-derives the live graph, input sizes and state once, in place,
+  /// when changes were applied since the last re-derive. Const so that
+  /// const readers can call it; safe because a session is
+  /// single-threaded.
+  void Refresh() const;
+
+  /// Restore path: builds the live graph from edges_ and the live state
+  /// under `model` with `masters`, keeping input_sizes_ as restored.
+  void BuildLiveState(ComputeModel model, const std::vector<DcId>& masters);
+
+  /// A context over the session's own problem copies.
+  PartitionerContext context() const;
+
+  // The owned problem instance.
+  VertexId num_vertices_ = 0;
+  std::vector<Edge> edges_;  // the edge log
+  Topology topology_;
+  std::vector<DcId> locations_;
+  mutable std::vector<double> input_sizes_;  // re-derived by Refresh
+  Workload workload_;
+  uint32_t theta_ = 100;
+  double cost_budget_ = 0;
+  uint64_t seed_ = 1;
+
+  // Re-derived in place by Refresh; the objects keep their addresses.
+  mutable std::unique_ptr<Graph> graph_;
+  mutable std::unique_ptr<PartitionState> state_;
+  // True when edges_ holds changes that graph_/input_sizes_/state_ do
+  // not reflect yet.
+  mutable bool stale_ = false;
+
+  // Lifecycle state.
+  bool reoptimized_once_ = false;
+  std::vector<uint8_t> affected_flags_;  // pending re-adapt marks
+  uint64_t version_ = 0;
+  std::vector<DcId> last_published_masters_;
+  MigrationBudget last_budget_;
+  SimTime watermark_ = SimTime::Min();
+
+ private:
+  // Constructs state_ over graph_ under `model`, every master at L_v.
+  void BuildState(ComputeModel model);
+
+  // Marks `endpoints` for the next pass and the live state stale;
+  // returns how many distinct vertices they name.
+  uint64_t MarkChanged(std::vector<VertexId> endpoints);
 };
 
 /// What EnforceMigrationBudget did to the plan.

@@ -25,13 +25,16 @@
 ///                   plus direct access to RLCut's trainer-level output
 ///                   (rlcut/rlcut_partitioner.h) and trainer
 ///                   checkpoint/resume (rlcut/checkpoint.h);
-///  * sessions     — the long-lived PartitioningSession lifecycle
-///                   Open -> ApplyDelta -> MaybeReoptimize(budget) ->
-///                   PublishPlan (partition/session.h), opened by
-///                   registry name via OpenPartitioningSession, with
-///                   RLCut's incremental, checkpointable implementation
-///                   in rlcut/session.h (docs/streaming.md walks
-///                   through the whole loop);
+///  * sessions     — the one class that owns an evolving problem,
+///                   PartitioningSession (partition/session.h): Open ->
+///                   ApplyDelta / RemoveEdges -> MaybeReoptimize(budget)
+///                   -> PublishPlan. OpenPartitioningSession opens one by
+///                   registry name: RLCut's incremental, checkpointable
+///                   RLCutSession (rlcut/session.h), the incremental
+///                   SpinnerSession, or a OneShotSession that re-runs any
+///                   other method cold; LeopardSession
+///                   (baselines/leopard.h) is opened directly
+///                   (docs/streaming.md walks through the whole loop);
 ///  * evaluation   — the Eq. 1-5 quality metrics and report
 ///                   (partition/metrics.h);
 ///  * plans        — saving, loading and applying partition plans
@@ -57,13 +60,13 @@
 ///    The factories remain as the registry's implementation hooks (and
 ///    for method-specific option structs), but direct application use
 ///    will stop being part of this umbrella in the next release.
-///  * Batch Partitioner::Run is now a thin wrapper over the session
-///    abstraction (open, one unlimited MaybeReoptimize, take). It is
-///    not deprecated — it is the blessed one-shot entry point — but
-///    code that re-runs a method as its problem evolves should move to
-///    a PartitioningSession and micro-batches.
+///  * Batch Partitioner::Run is the one-shot entry point. Code that
+///    re-runs a method as its problem evolves uses a
+///    PartitioningSession and micro-batches instead.
 
+#include "baselines/leopard.h"
 #include "baselines/partitioner.h"
+#include "baselines/spinner.h"
 #include "cloud/topology.h"
 #include "cloud/topology_schedule.h"
 #include "common/flags.h"

@@ -8,11 +8,19 @@
 
 #include "baselines/extra_partitioners.h"
 #include "baselines/partitioner.h"
+#include "baselines/spinner.h"
 #include "rlcut/rlcut_partitioner.h"
 #include "rlcut/session.h"
 
 namespace rlcut {
 namespace {
+
+SpinnerOptions SpinnerOptionsFrom(const PartitionerOptions& o) {
+  SpinnerOptions opt;
+  if (o.iterations > 0) opt.max_iterations = o.iterations;
+  if (o.balance_slack > 0) opt.balance_slack = o.balance_slack;
+  return opt;
+}
 
 struct RegistryEntry {
   PartitionerInfo info;
@@ -52,10 +60,7 @@ const std::vector<RegistryEntry>& Registry() {
       {{"Spinner", "capacity-constrained label-propagation edge-cut", true,
         false},
        [](const PartitionerOptions& o) {
-         SpinnerOptions opt;
-         if (o.iterations > 0) opt.max_iterations = o.iterations;
-         if (o.balance_slack > 0) opt.balance_slack = o.balance_slack;
-         return MakeSpinner(opt);
+         return MakeSpinner(SpinnerOptionsFrom(o));
        }},
       {{"RLCut", "multi-agent RL hybrid-cut under time and cost budgets",
         false, true},
@@ -134,12 +139,6 @@ Result<std::unique_ptr<Partitioner>> MakePartitionerByName(
   return entry->factory(options);
 }
 
-std::unique_ptr<Partitioner> MakePartitionerByName(const std::string& name) {
-  const RegistryEntry* entry = FindEntry(name);
-  if (entry == nullptr) return nullptr;
-  return entry->factory(PartitionerOptions{});
-}
-
 Result<std::unique_ptr<PartitioningSession>> OpenPartitioningSession(
     const std::string& method, const PartitionerContext& ctx,
     const SessionOptions& options) {
@@ -173,10 +172,14 @@ Result<std::unique_ptr<PartitioningSession>> OpenPartitioningSession(
     if (!session.ok()) return session.status();
     return std::unique_ptr<PartitioningSession>(std::move(*session));
   }
-  std::unique_ptr<Partitioner> partitioner =
-      entry->factory(options.partitioner);
+  if (entry->info.name == "Spinner") {
+    Result<std::unique_ptr<SpinnerSession>> session =
+        SpinnerSession::Open(ctx, SpinnerOptionsFrom(options.partitioner));
+    if (!session.ok()) return session.status();
+    return std::unique_ptr<PartitioningSession>(std::move(*session));
+  }
   Result<std::unique_ptr<OneShotSession>> session =
-      OneShotSession::Open(std::move(partitioner), ctx);
+      OneShotSession::Open(entry->factory(options.partitioner), ctx);
   if (!session.ok()) return session.status();
   return std::unique_ptr<PartitioningSession>(std::move(*session));
 }

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/partitioner.h"
@@ -10,8 +11,6 @@
 #include "cloud/topology_schedule.h"
 #include "common/sim_time.h"
 #include "common/status.h"
-#include "graph/graph.h"
-#include "graph/stream.h"
 #include "partition/partition_state.h"
 #include "partition/plan_delta.h"
 #include "partition/session.h"
@@ -43,29 +42,18 @@ struct TopologyUpdateResult {
 /// RLCut's incremental PartitioningSession: the paper's adaptive
 /// repartitioning loop as a long-lived object.
 ///
-/// The session owns the problem (fixed vertex set, accumulating edge
-/// set, effective topology) and a persistent per-vertex automaton pool.
-/// ApplyDelta buffers a micro-batch in the edge log at a cost that
-/// depends on the batch, not the graph; MaybeReoptimize warm-resumes
-/// the automata of the affected vertices only (full training on the
-/// first call) and clamps the plan to the migration budget;
-/// PublishPlan versions the result.
+/// On top of the shared session loop (partition/session.h: edge log,
+/// lazy re-derive, budget clamp, publish), the session keeps a
+/// persistent per-vertex automaton pool: MaybeReoptimize warm-resumes
+/// the automata of the changed vertices only (full training on the
+/// first call). UpdateTopology re-prices the plan under a new effective
+/// topology and marks the vertices whose traffic crosses changed links.
 /// SaveCheckpoint/Restore make the whole session crash-tolerant: a
 /// restored session continues the stream bit-identically (the trainer
 /// is re-seeded per pass from the options, so state + pool + pending
-/// set determine every subsequent decision).
-///
-/// The live graph, the input sizes and the PartitionState are
-/// re-derived lazily: once, in place, at the first reader after one or
-/// more applies (MaybeReoptimize, PublishPlan, UpdateTopology,
-/// SaveCheckpoint, live_state), from the whole edge log and the
-/// carried masters. Masters change only inside readers, so this yields
-/// exactly the state an eager per-apply rebuild would. Each re-derive
-/// is traced as a `session/rebuild` span inside its reader and counted
-/// in `serve.state_rebuilds`.
-///
-/// A session is single-threaded: even its const readers may re-derive
-/// the live state, so calls must not overlap.
+/// set determine every subsequent decision). UpdateTopology and
+/// SaveCheckpoint are readers too: they re-derive pending changes
+/// first.
 class RLCutSession : public PartitioningSession {
  public:
   /// Copies the problem out of `ctx` (validated). The initial plan is
@@ -77,38 +65,12 @@ class RLCutSession : public PartitioningSession {
 
   std::string method() const override { return "RLCut"; }
 
-  /// Validates a micro-batch, appends it to the edge log and marks its
-  /// endpoints for the next re-optimization; the cost is independent of
-  /// the graph size. The live state is re-derived at the next reader,
-  /// so apply_seconds measures buffering only. Fault site:
-  /// session.ingest_fail.
-  Result<ApplyResult> ApplyDelta(const MicroBatch& batch) override;
-
-  /// Warm-trains the pending affected vertices (all vertices on the
-  /// first call), then clamps the plan so the move-set vs the last
-  /// published plan respects `budget`.
-  Result<ReoptimizeResult> MaybeReoptimize(
-      const MigrationBudget& budget) override;
-
-  /// Versions the live plan. The migration delta vs the previous
-  /// published version respects the last MaybeReoptimize budget (a
-  /// publish-time re-clamp guarantees it even if the state drifted).
-  /// Fault site: session.publish_fail.
-  Result<PublishedPlan> PublishPlan() override;
-
-  /// The live state over every applied edge (re-derived first if
-  /// batches were applied since the last reader).
-  const PartitionState* live_state() const override {
-    Refresh();
-    return state_.get();
-  }
-
   /// Re-prices the live layout under a new effective topology (same DC
   /// count), after re-deriving pending batches under the old one, and,
   /// at or above the drift threshold, marks the vertices
   /// replicated in changed DCs for re-training — the TopologySchedule
   /// integration point; stream batches and topology events share the
-  /// SimTime timeline.
+  /// SimTime timeline. The next MaybeReoptimize trains them.
   Result<TopologyUpdateResult> UpdateTopology(const Topology& topology);
 
   // ---- Checkpoint / resume -------------------------------------------
@@ -127,8 +89,6 @@ class RLCutSession : public PartitioningSession {
   static Result<std::unique_ptr<RLCutSession>> Restore(
       const std::string& path, RLCutSessionOptions options);
 
-  // ---- Introspection --------------------------------------------------
-
   // ---- Process-split replica sync (docs/distributed.md) ---------------
 
   /// Attaches an external replica sink: every re-optimization pass
@@ -143,24 +103,20 @@ class RLCutSession : public PartitioningSession {
   /// True if the sink ever reported degraded operation this session.
   bool replica_degraded() const { return replica_degraded_; }
 
-  SimTime watermark() const { return watermark_; }
-  uint64_t version() const { return version_; }
-  uint64_t num_edges() const { return edges_.size(); }
-  VertexId num_vertices() const { return num_vertices_; }
-  const Topology& topology() const { return topology_; }
-  const std::vector<DcId>& last_published_masters() const {
-    return last_published_masters_;
-  }
+ protected:
+  /// The trainer pass over `eligible`: the initial options on the first
+  /// pass, the incremental ones afterwards.
+  void Adapt(std::vector<VertexId> eligible, bool first_pass) override;
+
+  /// Ships the moves the budget clamp reverted to the replica sink as
+  /// one correction delta.
+  void AfterClamp() override;
 
  private:
-  explicit RLCutSession(RLCutSessionOptions options);
-
-  // The one re-derive, run by every reader: when batches were applied
-  // since the last one, rebuilds graph_ in place from edges_, reassigns
-  // input_sizes_ from the new degrees and re-derives state_ from its
-  // own (carried) masters. Const so that const readers can call it;
-  // safe because a session is single-threaded.
-  void Refresh() const;
+  RLCutSession(const PartitionerContext& ctx, RLCutSessionOptions options);
+  // Restore path: an empty session DecodeSession fills in.
+  explicit RLCutSession(RLCutSessionOptions options)
+      : options_(std::move(options)) {}
 
   // Decodes one checkpoint payload into a fresh session (needs the
   // private constructor, hence a member).
@@ -169,42 +125,17 @@ class RLCutSession : public PartitioningSession {
   static Result<std::unique_ptr<RLCutSession>> LoadSessionFile(
       const std::string& path, const RLCutSessionOptions& options);
 
-  std::vector<VertexId> TakePendingAffected();
-
   RLCutSessionOptions options_;
-
-  // Owned problem instance.
-  VertexId num_vertices_ = 0;
-  std::vector<Edge> edges_;
-  Topology topology_;
-  std::vector<DcId> locations_;
-  mutable std::vector<double> input_sizes_;  // re-derived by Refresh
-  Workload workload_;
-  uint32_t theta_ = 100;
-  double cost_budget_ = 0;
-  uint64_t seed_ = 1;
-
-  // Re-derived in place by Refresh; the objects keep their addresses.
-  mutable std::unique_ptr<Graph> graph_;
-  mutable std::unique_ptr<PartitionState> state_;
-  // True when edges_ holds batches that graph_/input_sizes_/state_ do
-  // not reflect yet.
-  mutable bool stale_ = false;
   std::unique_ptr<AutomatonPool> pool_;
-
-  // Session lifecycle state.
-  bool trained_once_ = false;
-  std::vector<uint8_t> affected_flags_;  // pending re-train marks
-  uint64_t version_ = 0;
-  std::vector<DcId> last_published_masters_;
-  MigrationBudget last_budget_;
-  SimTime watermark_ = SimTime::Min();
 
   // Process-split replica sync (not part of the checkpoint: runtime
   // wiring, like thread count).
   ReplicaSink* replica_sink_ = nullptr;
   Status replica_status_;
   bool replica_degraded_ = false;
+  // The trainer's final masters, which the sink mirrors, before the
+  // budget clamp of the current pass (only kept while a sink is set).
+  std::vector<DcId> pre_clamp_masters_;
 };
 
 }  // namespace rlcut

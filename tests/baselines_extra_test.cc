@@ -54,14 +54,16 @@ TEST_F(ExtraBaselinesTest, AllExtrasProduceValidStates) {
 TEST_F(ExtraBaselinesTest, ObliviousBeatsRandomOnReplication) {
   // PowerGraph's whole point: greedy placement cuts the replication
   // factor relative to random edge assignment.
-  PartitionOutput random = MakePartitionerByName("RandPG")->RunOrDie(ctx_);
+  PartitionOutput random =
+      MakePartitionerByName("RandPG", {}).value()->RunOrDie(ctx_);
   PartitionOutput oblivious = MakeOblivious()->RunOrDie(ctx_);
   EXPECT_LT(oblivious.state.ReplicationFactor(),
             random.state.ReplicationFactor());
 }
 
 TEST_F(ExtraBaselinesTest, HdrfBeatsRandomOnReplication) {
-  PartitionOutput random = MakePartitionerByName("RandPG")->RunOrDie(ctx_);
+  PartitionOutput random =
+      MakePartitionerByName("RandPG", {}).value()->RunOrDie(ctx_);
   PartitionOutput hdrf = MakeHdrf()->RunOrDie(ctx_);
   EXPECT_LT(hdrf.state.ReplicationFactor(),
             random.state.ReplicationFactor());
@@ -102,11 +104,12 @@ TEST_F(ExtraBaselinesTest, LookupByNameCoversEverything) {
   for (const char* name :
        {"RandPG", "Geo-Cut", "HashPL", "Ginger", "Revolver", "Spinner",
         "Fennel", "Oblivious", "HDRF", "LDG"}) {
-    auto p = MakePartitionerByName(name);
-    ASSERT_NE(p, nullptr) << name;
-    EXPECT_EQ(p->name(), std::string(name));
+    auto p = MakePartitionerByName(name, {});
+    ASSERT_TRUE(p.ok()) << name;
+    EXPECT_EQ((*p)->name(), std::string(name));
   }
-  EXPECT_EQ(MakePartitionerByName("Metis"), nullptr);
+  EXPECT_EQ(MakePartitionerByName("Metis", {}).status().code(),
+            StatusCode::kNotFound);
 }
 
 TEST_F(ExtraBaselinesTest, VertexCutExtrasUseVertexCutModel) {

@@ -1,17 +1,29 @@
+// Sessions over an evolving graph (Exp#5): insert and delete windows
+// through the RLCut, Spinner and Leopard sessions, and topology updates
+// through RLCutSession::UpdateTopology.
+
+#include <algorithm>
 #include <memory>
 #include <set>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
+#include "baselines/leopard.h"
+#include "baselines/spinner.h"
 #include "cloud/topology.h"
 #include "cloud/topology_schedule.h"
+#include "common/timer.h"
 #include "graph/generators.h"
 #include "graph/geo.h"
+#include "graph/stream.h"
 #include "graph/temporal.h"
-#include "rlcut/dynamic.h"
+#include "rlcut/session.h"
 
 namespace rlcut {
 namespace {
+
+const MigrationBudget kUnlimited = MigrationBudget::Unlimited();
 
 class DynamicTest : public ::testing::Test {
  protected:
@@ -26,73 +38,113 @@ class DynamicTest : public ::testing::Test {
       geo.num_dcs = 4;
       return AssignGeoLocations(full_graph_, geo);
     }();
+    GraphBuilder builder(full_graph_.num_vertices());
+    builder.AddEdges(split_.initial_edges);
+    initial_graph_ = std::move(builder).Build();
+    sizes_ = AssignInputSizes(initial_graph_);
+    ctx_.graph = &initial_graph_;
+    ctx_.topology = &topology_;
+    ctx_.locations = &locations_;
+    ctx_.input_sizes = &sizes_;
+    ctx_.theta = PartitionState::AutoTheta(full_graph_);
+    ctx_.seed = 3;
   }
 
-  std::unique_ptr<RLCutDynamicDriver> MakeRLCutDriver(double window_budget) {
-    RLCutOptions initial;
-    initial.max_steps = 3;
-    initial.batch_size = 16;
-    initial.num_threads = 2;
-    RLCutOptions window = initial;
-    window.t_opt_seconds = window_budget;
-    return std::make_unique<RLCutDynamicDriver>(
-        &topology_, Workload::PageRank(),
-        PartitionState::AutoTheta(full_graph_), 3, initial, window);
+  // An RLCut session after its initial (full) pass.
+  std::unique_ptr<RLCutSession> OpenRLCut(double window_budget) {
+    RLCutSessionOptions options;
+    options.initial.max_steps = 3;
+    options.initial.batch_size = 16;
+    options.initial.num_threads = 2;
+    options.incremental = options.initial;
+    options.incremental.t_opt_seconds = window_budget;
+    std::unique_ptr<RLCutSession> session =
+        RLCutSession::Open(ctx_, options).value();
+    EXPECT_TRUE(session->MaybeReoptimize(kUnlimited).ok());
+    return session;
   }
 
-  std::unique_ptr<SpinnerDynamicDriver> MakeSpinnerDriver() {
+  // A Spinner session after its initial (full) pass.
+  std::unique_ptr<SpinnerSession> OpenSpinner() {
     SpinnerOptions opt;
     opt.max_iterations = 10;
-    return std::make_unique<SpinnerDynamicDriver>(
-        &topology_, Workload::PageRank(),
-        PartitionState::AutoTheta(full_graph_), 3, opt);
+    std::unique_ptr<SpinnerSession> session =
+        SpinnerSession::Open(ctx_, opt).value();
+    EXPECT_TRUE(session->MaybeReoptimize(kUnlimited).ok());
+    return session;
+  }
+
+  // A Leopard session after its initial pass placed every edge.
+  std::unique_ptr<LeopardSession> OpenLeopard() {
+    std::unique_ptr<LeopardSession> session =
+        LeopardSession::Open(ctx_).value();
+    EXPECT_TRUE(session->MaybeReoptimize(kUnlimited).ok());
+    return session;
+  }
+
+  // The first `count` remaining edges, after skipping `skip`.
+  std::vector<Edge> Window(size_t count, size_t skip = 0) const {
+    return std::vector<Edge>(split_.remaining_edges.begin() + skip,
+                             split_.remaining_edges.begin() + skip + count);
+  }
+
+  // Inserts `window` and re-optimizes; returns the applied edge count.
+  static uint64_t Insert(PartitioningSession* session,
+                         const std::vector<Edge>& window) {
+    const uint64_t applied =
+        session->ApplyDelta(MicroBatchAt(window, SimTime(0))).value()
+            .edges_applied;
+    EXPECT_TRUE(session->MaybeReoptimize(kUnlimited).ok());
+    return applied;
   }
 
   Topology topology_;
   Graph full_graph_;
   GraphSplit split_;
   std::vector<DcId> locations_;
+  Graph initial_graph_;
+  std::vector<double> sizes_;
+  PartitionerContext ctx_;
 };
 
 TEST_F(DynamicTest, RLCutDriverInitializesAndAdapts) {
-  auto driver = MakeRLCutDriver(0.5);
-  const double init_overhead = driver->Initialize(
-      full_graph_.num_vertices(), split_.initial_edges, locations_);
-  EXPECT_GT(init_overhead, 0.0);
-  EXPECT_EQ(driver->graph().num_edges(), split_.initial_edges.size());
+  RLCutSessionOptions options;
+  options.initial.max_steps = 3;
+  options.initial.batch_size = 16;
+  options.initial.num_threads = 2;
+  options.incremental = options.initial;
+  std::unique_ptr<RLCutSession> session =
+      RLCutSession::Open(ctx_, options).value();
+  const ReoptimizeResult init = session->MaybeReoptimize(kUnlimited).value();
+  EXPECT_GT(init.overhead_seconds, 0.0);
+  EXPECT_EQ(session->live_state()->graph().num_edges(),
+            split_.initial_edges.size());
 
-  std::vector<Edge> window(split_.remaining_edges.begin(),
-                           split_.remaining_edges.begin() + 200);
-  const WindowResult result = driver->InsertWindow(window);
-  EXPECT_EQ(result.inserted_edges, 200u);
-  EXPECT_GT(result.overhead_seconds, 0.0);
-  EXPECT_EQ(driver->graph().num_edges(), split_.initial_edges.size() + 200);
-  EXPECT_TRUE(driver->state().CheckInvariants());
+  const ApplyResult applied =
+      session->ApplyDelta(MicroBatchAt(Window(200), SimTime(0))).value();
+  EXPECT_EQ(applied.edges_applied, 200u);
+  const ReoptimizeResult window = session->MaybeReoptimize(kUnlimited).value();
+  EXPECT_TRUE(window.reoptimized);
+  EXPECT_GT(window.overhead_seconds, 0.0);
+  EXPECT_EQ(session->live_state()->graph().num_edges(),
+            split_.initial_edges.size() + 200);
+  EXPECT_TRUE(session->live_state()->CheckInvariants());
 }
 
 TEST_F(DynamicTest, SpinnerDriverInitializesAndAdapts) {
-  auto driver = MakeSpinnerDriver();
-  driver->Initialize(full_graph_.num_vertices(), split_.initial_edges,
-                     locations_);
-  std::vector<Edge> window(split_.remaining_edges.begin(),
-                           split_.remaining_edges.begin() + 200);
-  const WindowResult result = driver->InsertWindow(window);
-  EXPECT_EQ(result.inserted_edges, 200u);
-  EXPECT_GT(result.replication_factor, 0.0);
-  EXPECT_TRUE(driver->state().CheckInvariants());
+  auto session = OpenSpinner();
+  EXPECT_EQ(Insert(session.get(), Window(200)), 200u);
+  EXPECT_GT(session->live_state()->ReplicationFactor(), 0.0);
+  EXPECT_TRUE(session->live_state()->CheckInvariants());
 }
 
 TEST_F(DynamicTest, MastersCarriedAcrossWindows) {
-  auto driver = MakeRLCutDriver(/*window_budget=*/0.0001);  // near-zero
-  driver->Initialize(full_graph_.num_vertices(), split_.initial_edges,
-                     locations_);
-  const std::vector<DcId> before = driver->state().masters();
+  auto session = OpenRLCut(/*window_budget=*/0.0001);  // near-zero
+  const std::vector<DcId> before = session->live_state()->masters();
   // With an effectively zero adaptation budget almost nothing can move;
   // carried masters must dominate.
-  std::vector<Edge> window(split_.remaining_edges.begin(),
-                           split_.remaining_edges.begin() + 50);
-  driver->InsertWindow(window);
-  const std::vector<DcId>& after = driver->state().masters();
+  Insert(session.get(), Window(50));
+  const std::vector<DcId>& after = session->live_state()->masters();
   uint64_t same = 0;
   for (VertexId v = 0; v < full_graph_.num_vertices(); ++v) {
     if (before[v] == after[v]) ++same;
@@ -101,44 +153,35 @@ TEST_F(DynamicTest, MastersCarriedAcrossWindows) {
 }
 
 TEST_F(DynamicTest, MultipleWindowsAccumulateEdges) {
-  auto driver = MakeRLCutDriver(0.2);
-  driver->Initialize(full_graph_.num_vertices(), split_.initial_edges,
-                     locations_);
+  auto session = OpenRLCut(0.2);
   uint64_t expected = split_.initial_edges.size();
   for (int w = 0; w < 3; ++w) {
-    const size_t begin = w * 100;
-    std::vector<Edge> window(split_.remaining_edges.begin() + begin,
-                             split_.remaining_edges.begin() + begin + 100);
-    driver->InsertWindow(window);
+    Insert(session.get(), Window(100, w * 100));
     expected += 100;
-    EXPECT_EQ(driver->graph().num_edges(), expected);
+    EXPECT_EQ(session->live_state()->graph().num_edges(), expected);
   }
 }
 
 TEST_F(DynamicTest, RemoveWindowDeletesEdges) {
-  auto driver = MakeRLCutDriver(0.2);
-  driver->Initialize(full_graph_.num_vertices(), split_.initial_edges,
-                     locations_);
-  const uint64_t before = driver->graph().num_edges();
+  auto session = OpenRLCut(0.2);
+  const uint64_t before = session->num_edges();
   std::vector<Edge> to_remove(split_.initial_edges.begin(),
                               split_.initial_edges.begin() + 100);
-  const WindowResult result = driver->RemoveWindow(to_remove);
-  EXPECT_EQ(result.inserted_edges, 100u);
-  EXPECT_EQ(driver->graph().num_edges(), before - 100);
-  EXPECT_TRUE(driver->state().CheckInvariants());
+  const ApplyResult removed = session->RemoveEdges(to_remove).value();
+  EXPECT_EQ(removed.edges_applied, 100u);
+  EXPECT_TRUE(session->MaybeReoptimize(kUnlimited).value().reoptimized);
+  EXPECT_EQ(session->live_state()->graph().num_edges(), before - 100);
+  EXPECT_TRUE(session->live_state()->CheckInvariants());
 }
 
 TEST_F(DynamicTest, RemoveWindowIgnoresMissingEdges) {
-  auto driver = MakeSpinnerDriver();
-  driver->Initialize(full_graph_.num_vertices(), split_.initial_edges,
-                     locations_);
-  const uint64_t before = driver->graph().num_edges();
+  auto session = OpenSpinner();
+  const uint64_t before = session->num_edges();
   // Candidate removals from the *remaining* pool; a multigraph can
   // duplicate (src,dst) pairs across the split, so compute how many of
   // these actually exist in the initial edges and expect exactly that
   // many removals.
-  std::vector<Edge> missing(split_.remaining_edges.begin(),
-                            split_.remaining_edges.begin() + 50);
+  const std::vector<Edge> missing = Window(50);
   auto key = [](const Edge& e) {
     return (static_cast<uint64_t>(e.src) << 32) | e.dst;
   };
@@ -153,73 +196,73 @@ TEST_F(DynamicTest, RemoveWindowIgnoresMissingEdges) {
     expected_removed += std::min<uint64_t>(want, present.count(k));
     it = asked.upper_bound(k);
   }
-  const WindowResult result = driver->RemoveWindow(missing);
-  EXPECT_EQ(result.inserted_edges, expected_removed);
-  EXPECT_EQ(driver->graph().num_edges(), before - expected_removed);
+  const ApplyResult removed = session->RemoveEdges(missing).value();
+  EXPECT_EQ(removed.edges_applied, expected_removed);
+  EXPECT_EQ(session->live_state()->graph().num_edges(),
+            before - expected_removed);
 }
 
 TEST_F(DynamicTest, InsertThenRemoveRestoresEdgeCount) {
-  auto driver = MakeRLCutDriver(0.1);
-  driver->Initialize(full_graph_.num_vertices(), split_.initial_edges,
-                     locations_);
-  const uint64_t before = driver->graph().num_edges();
-  std::vector<Edge> window(split_.remaining_edges.begin(),
-                           split_.remaining_edges.begin() + 200);
-  driver->InsertWindow(window);
-  driver->RemoveWindow(window);
-  EXPECT_EQ(driver->graph().num_edges(), before);
+  auto session = OpenRLCut(0.1);
+  const uint64_t before = session->num_edges();
+  const std::vector<Edge> window = Window(200);
+  Insert(session.get(), window);
+  ASSERT_TRUE(session->RemoveEdges(window).ok());
+  ASSERT_TRUE(session->MaybeReoptimize(kUnlimited).ok());
+  EXPECT_EQ(session->live_state()->graph().num_edges(), before);
 }
 
 TEST_F(DynamicTest, LeopardDriverInitializesAndAdapts) {
-  LeopardDynamicDriver driver(&topology_, Workload::PageRank(),
-                              PartitionState::AutoTheta(full_graph_), 3);
-  driver.Initialize(full_graph_.num_vertices(), split_.initial_edges,
-                    locations_);
+  auto session = OpenLeopard();
   // Every edge must be placed after the initial partitioning.
-  for (EdgeId e = 0; e < driver.graph().num_edges(); ++e) {
-    EXPECT_NE(driver.state().edge_dc(e), kNoDc);
+  const PartitionState* state = session->live_state();
+  for (EdgeId e = 0; e < state->graph().num_edges(); ++e) {
+    EXPECT_NE(state->edge_dc(e), kNoDc);
   }
-  std::vector<Edge> window(split_.remaining_edges.begin(),
-                           split_.remaining_edges.begin() + 200);
-  const WindowResult result = driver.InsertWindow(window);
-  EXPECT_EQ(result.inserted_edges, 200u);
-  for (EdgeId e = 0; e < driver.graph().num_edges(); ++e) {
-    EXPECT_NE(driver.state().edge_dc(e), kNoDc);
+  EXPECT_EQ(Insert(session.get(), Window(200)), 200u);
+  state = session->live_state();
+  for (EdgeId e = 0; e < state->graph().num_edges(); ++e) {
+    EXPECT_NE(state->edge_dc(e), kNoDc);
   }
-  EXPECT_TRUE(driver.state().CheckInvariants());
+  EXPECT_TRUE(state->CheckInvariants());
 }
 
 TEST_F(DynamicTest, LeopardCarriesPlacementAcrossWindows) {
-  LeopardDynamicDriver driver(&topology_, Workload::PageRank(),
-                              PartitionState::AutoTheta(full_graph_), 3);
-  driver.Initialize(full_graph_.num_vertices(), split_.initial_edges,
-                    locations_);
+  auto session = OpenLeopard();
+  // Every placed edge, as (src, dst, DC) with multiplicity.
+  auto placements = [&] {
+    const PartitionState& state = *session->live_state();
+    std::multiset<std::tuple<VertexId, VertexId, DcId>> out;
+    for (EdgeId e = 0; e < state.graph().num_edges(); ++e) {
+      out.emplace(state.graph().EdgeSource(e), state.graph().EdgeTarget(e),
+                  state.edge_dc(e));
+    }
+    return out;
+  };
   // Record the WAN of the adapted layout, then insert a tiny window:
-  // carried placement means the layout quality cannot collapse.
-  const double wan_before = driver.state().WanBytesPerIteration();
-  std::vector<Edge> window(split_.remaining_edges.begin(),
-                           split_.remaining_edges.begin() + 10);
-  driver.InsertWindow(window);
-  const double wan_after = driver.state().WanBytesPerIteration();
+  // carried placement means the layout quality cannot collapse, and
+  // every edge placed before the window keeps its DC across the rebuild.
+  const double wan_before = session->live_state()->WanBytesPerIteration();
+  const auto before = placements();
+  Insert(session.get(), Window(10));
+  const double wan_after = session->live_state()->WanBytesPerIteration();
   EXPECT_LT(wan_after, wan_before * 1.2);
+  const auto after = placements();
+  EXPECT_TRUE(std::includes(after.begin(), after.end(), before.begin(),
+                            before.end()));
 }
 
 TEST_F(DynamicTest, LeopardReplicationStaysBelowRandom) {
-  LeopardDynamicDriver driver(&topology_, Workload::PageRank(),
-                              PartitionState::AutoTheta(full_graph_), 3);
-  driver.Initialize(full_graph_.num_vertices(), split_.initial_edges,
-                    locations_);
+  auto session = OpenLeopard();
   // Replica-affinity placement keeps lambda well below the DC count.
-  EXPECT_LT(driver.state().ReplicationFactor(), 3.0);
+  EXPECT_LT(session->live_state()->ReplicationFactor(), 3.0);
 }
 
 TEST_F(DynamicTest, SetTopologyRepricesWithoutMovingMasters) {
-  auto driver = MakeRLCutDriver(0.2);
-  driver->Initialize(full_graph_.num_vertices(), split_.initial_edges,
-                     locations_);
-  const std::vector<DcId> before = driver->state().masters();
+  auto session = OpenRLCut(0.2);
+  const std::vector<DcId> before = session->live_state()->masters();
   const double transfer_before =
-      driver->state().TransferSecondsPerIteration();
+      session->live_state()->TransferSecondsPerIteration();
 
   // Halve every DC's bandwidth: pure re-pricing, no adaptation.
   TopologySchedule schedule(
@@ -231,19 +274,18 @@ TEST_F(DynamicTest, SetTopologyRepricesWithoutMovingMasters) {
         e.downlink_factor = 0.5;
         return e;
       }()});
-  driver->SetTopology(schedule.EffectiveAt(0));
-  EXPECT_EQ(driver->state().masters(), before);
-  EXPECT_TRUE(driver->state().CheckInvariants());
+  ASSERT_TRUE(session->UpdateTopology(schedule.EffectiveAt(0)).ok());
+  const PartitionState& state = *session->live_state();
+  EXPECT_EQ(state.masters(), before);
+  EXPECT_TRUE(state.CheckInvariants());
   // Half the bandwidth means exactly twice the transfer time.
-  EXPECT_NEAR(driver->state().TransferSecondsPerIteration(),
-              2.0 * transfer_before, 1e-9 * transfer_before);
+  EXPECT_NEAR(state.TransferSecondsPerIteration(), 2.0 * transfer_before,
+              1e-9 * transfer_before);
 }
 
-TEST_F(DynamicTest, OnTopologyEventBelowThresholdOnlyReprices) {
-  auto driver = MakeRLCutDriver(0.2);
-  driver->Initialize(full_graph_.num_vertices(), split_.initial_edges,
-                     locations_);
-  const std::vector<DcId> before = driver->state().masters();
+TEST_F(DynamicTest, UpdateTopologyBelowThresholdOnlyReprices) {
+  auto session = OpenRLCut(0.2);
+  const std::vector<DcId> before = session->live_state()->masters();
 
   // A 1% drift stays under the 5% default trigger threshold.
   TopologySchedule schedule(topology_, {[&] {
@@ -254,56 +296,53 @@ TEST_F(DynamicTest, OnTopologyEventBelowThresholdOnlyReprices) {
     e.downlink_factor = 0.99;
     return e;
   }()});
-  const ReoptimizationResult result =
-      driver->OnTopologyEvent(schedule.EffectiveAt(0));
-  EXPECT_FALSE(result.triggered);
-  EXPECT_EQ(result.affected_vertices, 0u);
-  EXPECT_EQ(driver->state().masters(), before);
+  const TopologyUpdateResult result =
+      session->UpdateTopology(schedule.EffectiveAt(0)).value();
   EXPECT_NEAR(result.drift, 0.01, 1e-9);
+  EXPECT_EQ(result.affected_marked, 0u);
+  // Nothing marked: the next re-optimization has nothing to adapt.
+  EXPECT_FALSE(session->MaybeReoptimize(kUnlimited).value().reoptimized);
+  EXPECT_EQ(session->live_state()->masters(), before);
 }
 
-TEST_F(DynamicTest, OnTopologyEventTriggersAndNeverRegresses) {
-  auto driver = MakeRLCutDriver(0.2);
-  driver->Initialize(full_graph_.num_vertices(), split_.initial_edges,
-                     locations_);
-
+TEST_F(DynamicTest, UpdateTopologyMarksReplicatedVerticesForRetraining) {
+  auto session = OpenRLCut(0.2);
   const TopologySchedule schedule = MakeBrownoutSchedule(
       topology_, /*dc=*/0, /*start_step=*/0, /*end_step=*/100,
       /*bandwidth_factor=*/0.25);
-  const ReoptimizationResult result =
-      driver->OnTopologyEvent(schedule.EffectiveAt(0));
-  EXPECT_TRUE(result.triggered);
-  EXPECT_GT(result.affected_vertices, 0u);
+  const TopologyUpdateResult result =
+      session->UpdateTopology(schedule.EffectiveAt(0)).value();
   EXPECT_NEAR(result.drift, 0.75, 1e-9);
-  // Rollback-on-regression guarantees the adapted plan is never worse
-  // than the carried plan under the new topology.
-  EXPECT_LE(result.transfer_seconds_after,
-            result.transfer_seconds_before * (1 + 1e-12));
-  EXPECT_TRUE(driver->state().CheckInvariants());
-  // The reported objective is the state's live objective (Eq. 1 summed
-  // over the workload's iterations).
-  EXPECT_NEAR(driver->state().CurrentObjective().transfer_seconds,
-              result.transfer_seconds_after,
-              1e-9 * result.transfer_seconds_after);
+  // Every vertex with a replica in the browned-out DC is marked.
+  uint64_t replicated = 0;
+  session->live_state()->ForEachVertexWithReplicaIn(
+      uint64_t{1}, [&](VertexId) { ++replicated; });
+  EXPECT_GT(result.affected_marked, 0u);
+  EXPECT_EQ(result.affected_marked, replicated);
+  // The next re-optimization trains exactly the marked vertices.
+  const ReoptimizeResult reopt = session->MaybeReoptimize(kUnlimited).value();
+  EXPECT_TRUE(reopt.reoptimized);
+  EXPECT_EQ(reopt.trained_vertices, result.affected_marked);
+  EXPECT_TRUE(session->live_state()->CheckInvariants());
 
-  // Restoring the base topology is itself an event (drift back up).
-  const ReoptimizationResult back =
-      driver->OnTopologyEvent(schedule.EffectiveAt(100));
-  EXPECT_TRUE(back.triggered);
-  EXPECT_LE(back.transfer_seconds_after,
-            back.transfer_seconds_before * (1 + 1e-12));
+  // Restoring the base topology is itself a drift event; it marks the
+  // vertices still replicated in the restored DC.
+  const TopologyUpdateResult back =
+      session->UpdateTopology(schedule.EffectiveAt(100)).value();
+  EXPECT_GT(back.drift, 0.05);
+  replicated = 0;
+  session->live_state()->ForEachVertexWithReplicaIn(
+      uint64_t{1}, [&](VertexId) { ++replicated; });
+  EXPECT_EQ(back.affected_marked, replicated);
 }
 
 TEST_F(DynamicTest, RLCutWindowOverheadBounded) {
   const double budget = 0.3;
-  auto driver = MakeRLCutDriver(budget);
-  driver->Initialize(full_graph_.num_vertices(), split_.initial_edges,
-                     locations_);
-  std::vector<Edge> window(split_.remaining_edges.begin(),
-                           split_.remaining_edges.begin() + 500);
-  const WindowResult result = driver->InsertWindow(window);
+  auto session = OpenRLCut(budget);
+  WallTimer timer;
+  Insert(session.get(), Window(500));
   // Rebuild + one overshooting step allowed; but nowhere near unbounded.
-  EXPECT_LT(result.overhead_seconds, budget + 2.0);
+  EXPECT_LT(timer.ElapsedSeconds(), budget + 2.0);
 }
 
 }  // namespace

@@ -44,7 +44,8 @@ INSTANTIATE_TEST_SUITE_P(AllLoaders, CorpusReplayTest,
                                            LoaderKind::kPlan,
                                            LoaderKind::kNetSchedule,
                                            LoaderKind::kRlgGraph,
-                                           LoaderKind::kNetFrame),
+                                           LoaderKind::kNetFrame,
+                                           LoaderKind::kSession),
                          [](const auto& info) {
                            switch (info.param) {
                              case LoaderKind::kCheckpoint:
@@ -55,6 +56,8 @@ INSTANTIATE_TEST_SUITE_P(AllLoaders, CorpusReplayTest,
                                return std::string("RlgGraph");
                              case LoaderKind::kNetFrame:
                                return std::string("NetFrame");
+                             case LoaderKind::kSession:
+                               return std::string("Session");
                              default:
                                return std::string("NetSchedule");
                            }

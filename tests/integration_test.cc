@@ -58,9 +58,9 @@ TEST_F(IntegrationTest, EveryPartitionerYieldsExactPageRank) {
        {"RandPG", "HashPL", "Ginger", "Spinner", "Fennel", "Oblivious",
         "HDRF", "LDG", "Multilevel", "Annealing"}) {
     SCOPED_TRACE(name);
-    auto partitioner = MakePartitionerByName(name);
-    ASSERT_NE(partitioner, nullptr);
-    PartitionOutput out = partitioner->RunOrDie(ctx_);
+    auto partitioner = MakePartitionerByName(name, {});
+    ASSERT_TRUE(partitioner.ok()) << partitioner.status().ToString();
+    PartitionOutput out = (*partitioner)->RunOrDie(ctx_);
     auto program = MakePageRank(10);
     GasEngine engine(&out.state);
     const RunResult run = engine.Run(program.get());
@@ -94,7 +94,8 @@ TEST_F(IntegrationTest, PageRankModelPredictionMatchesRealizedTraffic) {
 }
 
 TEST_F(IntegrationTest, EngineTrafficAccountingIsConsistent) {
-  PartitionOutput out = MakePartitionerByName("HashPL")->RunOrDie(ctx_);
+  PartitionOutput out =
+      MakePartitionerByName("HashPL", {}).value()->RunOrDie(ctx_);
   auto program = MakePageRank(6);
   GasEngine engine(&out.state);
   const RunResult run = engine.Run(program.get());
@@ -197,7 +198,8 @@ TEST_F(IntegrationTest, RLCutPipelineBeatsRandomEndToEnd) {
   // The headline, measured on the engine rather than the model: a
   // partitioning optimized by RLCut must realize lower transfer time
   // than random vertex-cut on the same execution.
-  PartitionOutput random = MakePartitionerByName("RandPG")->RunOrDie(ctx_);
+  PartitionOutput random =
+      MakePartitionerByName("RandPG", {}).value()->RunOrDie(ctx_);
   RLCutOptions opt;
   opt.max_steps = 5;
   opt.budget = ctx_.budget;

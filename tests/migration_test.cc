@@ -3,9 +3,10 @@
 #include "cloud/topology.h"
 #include "graph/generators.h"
 #include "graph/geo.h"
+#include "graph/stream.h"
 #include "graph/temporal.h"
 #include "partition/migration.h"
-#include "rlcut/dynamic.h"
+#include "rlcut/session.h"
 
 namespace rlcut {
 namespace {
@@ -80,24 +81,36 @@ TEST(MigrationTest, DynamicWindowsReportMigration) {
         return AssignGeoLocations(full, geo);
       }();
 
-  RLCutOptions initial;
-  initial.max_steps = 3;
-  RLCutOptions window = initial;
-  window.t_opt_seconds = 0.5;
-  RLCutDynamicDriver driver(&topo, Workload::PageRank(),
-                            PartitionState::AutoTheta(full), 3, initial,
-                            window);
-  driver.Initialize(full.num_vertices(), split.initial_edges, locations);
+  GraphBuilder builder(full.num_vertices());
+  builder.AddEdges(split.initial_edges);
+  const Graph initial_graph = std::move(builder).Build();
+  const std::vector<double> sizes = AssignInputSizes(initial_graph);
+  PartitionerContext ctx;
+  ctx.graph = &initial_graph;
+  ctx.topology = &topo;
+  ctx.locations = &locations;
+  ctx.input_sizes = &sizes;
+  ctx.theta = PartitionState::AutoTheta(full);
+  ctx.seed = 3;
+  RLCutSessionOptions options;
+  options.initial.max_steps = 3;
+  options.incremental = options.initial;
+  options.incremental.t_opt_seconds = 0.5;
+  auto session = RLCutSession::Open(ctx, options).value();
+  ASSERT_TRUE(session->MaybeReoptimize(MigrationBudget::Unlimited()).ok());
+  ASSERT_TRUE(session->PublishPlan().ok());
   std::vector<Edge> w(split.remaining_edges.begin(),
                       split.remaining_edges.begin() + 200);
-  const WindowResult result = driver.InsertWindow(w);
+  ASSERT_TRUE(session->ApplyDelta(MicroBatchAt(w, SimTime(0))).ok());
+  ASSERT_TRUE(session->MaybeReoptimize(MigrationBudget::Unlimited()).ok());
+  const MigrationSummary migration = session->PublishPlan().value().migration;
   // Consistency: bytes only move if vertices did, and the migration
   // clock is bounded by shipping everything over the slowest link.
-  if (result.vertices_migrated == 0) {
-    EXPECT_DOUBLE_EQ(result.migration_bytes, 0.0);
+  if (migration.vertices_moved == 0) {
+    EXPECT_DOUBLE_EQ(migration.bytes_moved, 0.0);
   } else {
-    EXPECT_GT(result.migration_bytes, 0.0);
-    EXPECT_GT(result.migration_seconds, 0.0);
+    EXPECT_GT(migration.bytes_moved, 0.0);
+    EXPECT_GT(migration.transfer_seconds, 0.0);
   }
 }
 

@@ -161,9 +161,9 @@ TEST_F(OptimizerBaselinesTest, AnnealingDeterministicBySeed) {
 }
 
 TEST_F(OptimizerBaselinesTest, LookupIncludesNewOptimizers) {
-  EXPECT_NE(MakePartitionerByName("Multilevel"), nullptr);
-  EXPECT_NE(MakePartitionerByName("Annealing"), nullptr);
-  EXPECT_NE(MakePartitionerByName("SingleAgentRL"), nullptr);
+  EXPECT_TRUE(MakePartitionerByName("Multilevel", {}).ok());
+  EXPECT_TRUE(MakePartitionerByName("Annealing", {}).ok());
+  EXPECT_TRUE(MakePartitionerByName("SingleAgentRL", {}).ok());
 }
 
 TEST_F(OptimizerBaselinesTest, SingleAgentRlProducesValidState) {

@@ -301,11 +301,6 @@ TEST(PartitionerRegistryTest, UnknownNameIsNotFound) {
   EXPECT_NE(p.status().message().find("RLCut"), std::string::npos);
 }
 
-TEST(PartitionerRegistryTest, LegacyLookupReturnsNullOnUnknown) {
-  EXPECT_EQ(MakePartitionerByName("NoSuchMethod"), nullptr);
-  EXPECT_NE(MakePartitionerByName("Spinner"), nullptr);
-}
-
 // ---- Fallible Partitioner::Run -----------------------------------------
 
 class FallibleRunTest : public ::testing::Test {

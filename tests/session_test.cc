@@ -1,6 +1,7 @@
 // PartitioningSession lifecycle: open -> apply -> reoptimize ->
 // publish, exact migration-budget enforcement, checkpoint/resume
-// continuation, and the unified Result<>/Status error paths.
+// continuation, and the unified Result<>/Status error paths, which every
+// session kind shares (SessionContractTest).
 
 #include "partition/session.h"
 
@@ -12,8 +13,11 @@
 #include <utility>
 #include <vector>
 
+#include "baselines/leopard.h"
 #include "baselines/partitioner.h"
+#include "baselines/spinner.h"
 #include "cloud/topology.h"
+#include "fault/fault.h"
 #include "graph/geo.h"
 #include "graph/stream.h"
 #include "graph/temporal.h"
@@ -101,6 +105,11 @@ TEST_F(SessionTest, RegistryOpensSessionsByMethodName) {
   auto spinner = OpenPartitioningSession("Spinner", ctx_);
   ASSERT_TRUE(spinner.ok()) << spinner.status().ToString();
   EXPECT_EQ((*spinner)->method(), "Spinner");
+  EXPECT_NE(dynamic_cast<SpinnerSession*>(spinner->get()), nullptr);
+
+  auto ginger = OpenPartitioningSession("Ginger", ctx_);
+  ASSERT_TRUE(ginger.ok()) << ginger.status().ToString();
+  EXPECT_NE(dynamic_cast<OneShotSession*>(ginger->get()), nullptr);
 
   auto rl = OpenPartitioningSession("RLCut", ctx_);
   ASSERT_TRUE(rl.ok()) << rl.status().ToString();
@@ -113,7 +122,7 @@ TEST_F(SessionTest, RegistryOpensSessionsByMethodName) {
 }
 
 TEST_F(SessionTest, BatchRunIsTheDegenerateSession) {
-  // Partitioner::Run == open, one unlimited re-optimization, take.
+  // Partitioner::Run == a cold session's first re-optimization.
   auto run = MakeGinger()->Run(ctx_);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
 
@@ -121,19 +130,8 @@ TEST_F(SessionTest, BatchRunIsTheDegenerateSession) {
   ASSERT_TRUE(session.ok()) << session.status().ToString();
   auto reopt = (*session)->MaybeReoptimize(MigrationBudget::Unlimited());
   ASSERT_TRUE(reopt.ok()) << reopt.status().ToString();
-  auto taken = (*session)->TakeOutput();
-  ASSERT_TRUE(taken.ok()) << taken.status().ToString();
 
-  EXPECT_EQ(run->state.masters(), taken->state.masters());
-}
-
-TEST_F(SessionTest, BorrowedSessionCannotIngest) {
-  auto ginger = MakeGinger();
-  OneShotSession session(ginger.get(), ctx_);
-  const auto batches = SuffixBatches(2);
-  auto applied = session.ApplyDelta(batches[0]);
-  ASSERT_FALSE(applied.ok());
-  EXPECT_EQ(applied.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(run->state.masters(), (*session)->live_state()->masters());
 }
 
 TEST_F(SessionTest, OwnedOneShotSessionIngestsAndRepartitions) {
@@ -364,6 +362,114 @@ TEST_F(SessionTest, RestoreFallsBackToRotatedCheckpoint) {
   auto failed = RLCutSession::Restore(path, SessionOpts());
   ASSERT_FALSE(failed.ok());
 }
+
+// ---- The contract every session kind keeps ------------------------------
+
+class SessionContractTest : public SessionTest,
+                            public ::testing::WithParamInterface<const char*> {
+ protected:
+  ~SessionContractTest() override { fault::Disarm(); }
+
+  // The session kind named by the parameter: the two incremental
+  // baselines, RLCut, or a cold OneShotSession over a batch method.
+  std::unique_ptr<PartitioningSession> Open() {
+    const std::string kind = GetParam();
+    auto up = [](auto opened) -> std::unique_ptr<PartitioningSession> {
+      EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+      return opened.ok() ? std::move(*opened) : nullptr;
+    };
+    if (kind == "RLCut") return up(RLCutSession::Open(ctx_, SessionOpts()));
+    if (kind == "Spinner") return up(SpinnerSession::Open(ctx_, {}));
+    if (kind == "Leopard") return up(LeopardSession::Open(ctx_));
+    return up(OneShotSession::Open(MakePartitionerByName(kind, {}).value(),
+                                   ctx_));
+  }
+};
+
+TEST_P(SessionContractTest, RefusesMalformedInputWithOneStatusCode) {
+  std::unique_ptr<PartitioningSession> session = Open();
+  ASSERT_NE(session, nullptr);
+  auto code = [&](const MicroBatch& batch) {
+    return session->ApplyDelta(batch).status().code();
+  };
+  MicroBatch unsorted;
+  unsorted.watermark = SimTime(10);
+  unsorted.edges = {TimedEdge{{0, 1}, SimTime(5)},
+                    TimedEdge{{1, 2}, SimTime(4)}};
+  EXPECT_EQ(code(unsorted), StatusCode::kInvalidArgument);
+  MicroBatch past_watermark;
+  past_watermark.watermark = SimTime(10);
+  past_watermark.edges = {TimedEdge{{0, 1}, SimTime(11)}};
+  EXPECT_EQ(code(past_watermark), StatusCode::kInvalidArgument);
+  MicroBatch out_of_range;
+  out_of_range.watermark = SimTime(10);
+  out_of_range.edges = {TimedEdge{{0, 1}, SimTime(5)},
+                        TimedEdge{{kVertices, 0}, SimTime(6)}};
+  EXPECT_EQ(code(out_of_range), StatusCode::kOutOfRange);
+  // A refused batch leaves the problem as it was.
+  EXPECT_EQ(session->num_edges(), kBaseEdges);
+
+  const auto batches = SuffixBatches(2);
+  ASSERT_TRUE(session->ApplyDelta(batches[1]).ok());
+  EXPECT_EQ(code(batches[0]), StatusCode::kInvalidArgument);
+
+  const uint64_t edges = session->num_edges();
+  auto removal = session->RemoveEdges({Edge{0, 1}, Edge{2, kVertices}});
+  ASSERT_FALSE(removal.ok());
+  EXPECT_EQ(removal.status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(session->num_edges(), edges);
+}
+
+TEST_P(SessionContractTest, FiresTheIngestFaultSite) {
+  std::unique_ptr<PartitioningSession> session = Open();
+  ASSERT_NE(session, nullptr);
+  fault::FaultSchedule schedule;
+  schedule.rules.push_back(fault::FaultRule{"session.ingest_fail", 0, 1});
+  fault::Arm(schedule);
+  const auto batches = SuffixBatches(1);
+  auto failed = session->ApplyDelta(batches[0]);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(fault::FireCount("session.ingest_fail"), 1u);
+  EXPECT_EQ(session->num_edges(), kBaseEdges);
+  // The retry goes through.
+  ASSERT_TRUE(session->ApplyDelta(batches[0]).ok());
+  EXPECT_EQ(session->num_edges(), kEdges);
+}
+
+TEST_P(SessionContractTest, IdleReoptimizationKeepsThePlan) {
+  std::unique_ptr<PartitioningSession> session = Open();
+  ASSERT_NE(session, nullptr);
+  const MigrationBudget unlimited = MigrationBudget::Unlimited();
+  ASSERT_TRUE(session->MaybeReoptimize(unlimited).value().reoptimized);
+  const std::vector<DcId> masters = session->live_state()->masters();
+  const double transfer =
+      session->live_state()->CurrentObjective().transfer_seconds;
+  const obs::Counter* runs =
+      obs::DefaultRegistry().GetCounter("serve.reopt_runs");
+  const uint64_t runs_before = runs->value();
+
+  auto idle = session->MaybeReoptimize(unlimited);
+  ASSERT_TRUE(idle.ok()) << idle.status().ToString();
+  EXPECT_FALSE(idle->reoptimized);
+  EXPECT_EQ(runs->value(), runs_before);
+  EXPECT_EQ(session->live_state()->masters(), masters);
+  EXPECT_EQ(session->live_state()->CurrentObjective().transfer_seconds,
+            transfer);
+
+  // A change brings the next pass back, over the grown graph.
+  ASSERT_TRUE(session->ApplyDelta(SuffixBatches(1)[0]).ok());
+  EXPECT_TRUE(session->MaybeReoptimize(unlimited).value().reoptimized);
+  EXPECT_EQ(session->live_state()->graph().num_edges(), kEdges);
+  EXPECT_TRUE(session->live_state()->CheckInvariants());
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKinds, SessionContractTest,
+                         ::testing::Values("RLCut", "Spinner", "Leopard",
+                                           "Ginger", "RandPG"),
+                         [](const auto& info) {
+                           return std::string(info.param);
+                         });
 
 }  // namespace
 }  // namespace rlcut

@@ -85,8 +85,9 @@ int main(int argc, char** argv) {
   flags.DefineInt("dcs", 4, "data centers");
   flags.DefineInt("seed", 1, "base RNG seed");
   flags.DefineString("method", "RLCut",
-                     "partitioner registry name; RLCut serves "
-                     "incrementally, other methods re-partition cold");
+                     "partitioner registry name; RLCut and Spinner "
+                     "serve incrementally, other methods re-partition "
+                     "cold");
   flags.DefineInt("max_batches", 0,
                   "stop after N micro-batches (0 = run to the horizon)");
   flags.DefineString("plan_out", "",

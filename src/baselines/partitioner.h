@@ -97,9 +97,6 @@ struct PartitionerOptions {
   int64_t agent_visit_budget = 0;
   /// RLCut: maximum training steps.
   int max_steps = 0;
-  /// RLCut: logical shard count of the training runtime (a checkpoint
-  /// property, see docs/sharding.md). 0 = kDefaultNumShards.
-  int num_shards = 0;
   /// Iterative methods (Revolver, Spinner, GrapH, Multilevel passes).
   int iterations = 0;
   /// Geo-Cut greedy refinement sweeps (< 0 = default).

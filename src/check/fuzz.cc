@@ -45,7 +45,7 @@ Status WriteBytes(const std::string& path, const std::string& bytes) {
 
 constexpr char kCkpMagic[8] = {'R', 'L', 'C', 'U', 'T', 'C', 'K', 'P'};
 // Current version plus the oldest still-loadable one; v1 lacks the
-// session num_shards field (see rlcut/checkpoint.cc).
+// session's PRNG stream count (see rlcut/checkpoint.cc).
 constexpr uint32_t kCkpMinVersion = 1;
 constexpr uint32_t kCkpVersion = 2;
 // File layout: magic(8) version(4) payload_size(8) payload checksum(8).
@@ -84,7 +84,8 @@ struct PayloadLayout {
 };
 
 // Builds a structurally valid payload for `version` (v2 adds the
-// uint32 session shard count between visits_remaining and the history).
+// uint32 PRNG stream count between visits_remaining and the history).
+// It carries two streams, like a file a sharded build saved.
 PayloadLayout BuildValidPayload(uint32_t version) {
   PayloadLayout layout;
   std::string& p = layout.bytes;
@@ -119,7 +120,7 @@ PayloadLayout BuildValidPayload(uint32_t version) {
   Append<uint8_t>(&p, 0);                         // finished
   Append<int64_t>(&p, 40);                        // visits_remaining
   if (version >= 2) {
-    Append<uint32_t>(&p, 2);                      // num_shards (v2)
+    Append<uint32_t>(&p, 2);                      // stream count (v2)
   }
   layout.history_count_offset = p.size();
   Append<uint64_t>(&p, 2);                        // history count
@@ -179,8 +180,7 @@ std::vector<CorpusCase> CheckpointCorpus() {
   corpus.push_back({"valid", valid, true});
 
   {
-    // A pre-sharding v1 file (no num_shards field) must keep loading;
-    // its shard count is inferred from the rng state count.
+    // A v1 file (no stream count field) must keep loading.
     const PayloadLayout v1 = BuildValidPayload(kCkpMinVersion);
     corpus.push_back(
         {"valid-v1", WrapCheckpointFile(v1.bytes, kCkpMinVersion), true});
@@ -257,13 +257,13 @@ std::vector<CorpusCase> CheckpointCorpus() {
         {"zero-rng-state", WrapCheckpointFile(bad.bytes), false});
   }
   {
-    // Checksum-valid v2 file whose declared shard count disagrees with
-    // its rng state count: the per-shard streams would be ambiguous.
+    // Checksum-valid v2 file whose declared stream count disagrees with
+    // its rng state count: the file is inconsistent.
     PayloadLayout bad = BuildValidPayload(kCkpVersion);
     Overwrite<uint32_t>(&bad.bytes,
                         bad.history_count_offset - sizeof(uint32_t), 5);
     corpus.push_back(
-        {"shard-rng-count-mismatch", WrapCheckpointFile(bad.bytes), false});
+        {"stream-rng-count-mismatch", WrapCheckpointFile(bad.bytes), false});
   }
   {
     // Extra bytes inside the checksummed payload must be detected.

@@ -31,7 +31,7 @@ const std::vector<Lane>& Lanes() {
       {"corpus", 1, 1, 1, RunCorpusCase},
       {"fuzz", 1500, 10000, 100000, RunFuzzCase},
       {"renumber", 9, 24, 96, RunRenumberCase},
-      {"shard", 6, 12, 96, RunShardCase},
+      {"thread", 6, 12, 96, RunThreadCase},
       {"chaos", 4, 8, 500, RunChaosCase},
       {"net", 6, 120, 300, RunNetCase},
       {"stream", 4, 100, 400, RunStreamCase},

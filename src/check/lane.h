@@ -69,7 +69,7 @@ void RunOracleCase(uint64_t seed, LaneReport* report);
 void RunCorpusCase(uint64_t seed, LaneReport* report);
 void RunFuzzCase(uint64_t seed, LaneReport* report);
 void RunRenumberCase(uint64_t seed, LaneReport* report);
-void RunShardCase(uint64_t seed, LaneReport* report);
+void RunThreadCase(uint64_t seed, LaneReport* report);
 void RunChaosCase(uint64_t seed, LaneReport* report);
 void RunNetCase(uint64_t seed, LaneReport* report);
 void RunStreamCase(uint64_t seed, LaneReport* report);

@@ -1,6 +1,5 @@
 #include "common/thread_pool.h"
 
-#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -9,137 +8,162 @@
 #include "obs/metrics.h"
 
 namespace rlcut {
+namespace {
 
-ThreadPool::ThreadPool(size_t num_threads) : num_threads_(num_threads) {
+constexpr uint64_t kOpen = 1;
+
+}  // namespace
+
+ThreadPool::ThreadPool(size_t num_threads)
+    : num_threads_(num_threads),
+      tasks_metric_(obs::DefaultRegistry().GetCounter("threadpool.tasks")),
+      errors_metric_(
+          obs::DefaultRegistry().GetCounter("threadpool.task_errors")) {
   RLCUT_CHECK_GE(num_threads, 1u);
-  workers_.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+  helpers_.reserve(num_threads - 1);
+  for (size_t member = 1; member < num_threads; ++member) {
+    helpers_.emplace_back([this, member] { HelperLoop(member, 0); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::unique_lock<std::mutex> lock(mu_);
-    shutting_down_ = true;
+    std::lock_guard<std::mutex> lock(mu_);
+    stopping_.store(true);
   }
-  task_available_.notify_all();
-  // workers_ is stable now: replacement spawns check shutting_down_
-  // under mu_, and the flag write above synchronizes with them.
-  for (auto& worker : workers_) worker.join();
-  // Fold this pool's lifetime total into the global registry once all
-  // workers have quiesced (no concurrent writers remain).
-  obs::DefaultRegistry().GetCounter("threadpool.tasks")->Increment(
-      tasks_executed_.load(std::memory_order_relaxed));
-  const uint64_t errors = errors_seen_.load(std::memory_order_relaxed);
-  if (errors > 0) {
-    obs::DefaultRegistry().GetCounter("threadpool.task_errors")
-        ->Increment(errors);
+  wake_epoch_.fetch_add(1);
+  wake_epoch_.notify_all();
+  // helpers_ is stable now: respawns check stopping_ under mu_.
+  for (std::thread& helper : helpers_) helper.join();
+}
+
+void ThreadPool::RunTeam(size_t num_chunks,
+                         const std::function<void(size_t, size_t)>& chunk,
+                         const std::function<void()>& finish) {
+  // Publish the run, then open it. No helper is inside a run here: the
+  // previous RunTeam drained them all before returning.
+  chunk_ = &chunk;
+  num_chunks_ = num_chunks;
+  next_chunk_.store(0, std::memory_order_relaxed);
+  const uint64_t generation = (run_.load(std::memory_order_relaxed) >> 1) + 1;
+  run_.store(generation << 1 | kOpen);
+  if (parked_.load() > 0) {
+    // A helper counts itself parked before its last look at run_, so
+    // either it sees the new run or this bump wakes it.
+    wake_epoch_.fetch_add(1);
+    wake_epoch_.notify_all();
   }
-}
-
-bool ThreadPool::Submit(std::function<void()> task) {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (shutting_down_) return false;
-    tasks_.push(std::move(task));
-    ++in_flight_;
-  }
-  task_available_.notify_one();
-  return true;
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
-}
-
-std::exception_ptr ThreadPool::TakeError() {
-  std::unique_lock<std::mutex> lock(mu_);
-  return std::exchange(first_error_, nullptr);
-}
-
-void ThreadPool::RecordErrorLocked(std::exception_ptr error) {
-  if (first_error_ == nullptr) first_error_ = std::move(error);
-  errors_seen_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void ThreadPool::WorkerLoop() {
-  while (true) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      task_available_.wait(
-          lock, [this] { return shutting_down_ || !tasks_.empty(); });
-      if (tasks_.empty()) {
-        // shutting_down_ with an empty queue: exit.
-        return;
-      }
-      task = std::move(tasks_.front());
-      tasks_.pop();
+  // Closes the run and drains the helpers inside it on every exit, also
+  // when a chunk of the caller's or `finish` throws, so no helper is
+  // left running a chunk of a run that has returned.
+  struct Drain {
+    ThreadPool* pool;
+    uint64_t closed;
+    ~Drain() {
+      pool->next_chunk_.store(pool->num_chunks_);
+      pool->run_.store(closed);
+      while (pool->active_.load() != 0) std::this_thread::yield();
     }
+  } drain{this, generation << 1};
+  int64_t stall_ms = 0;
+  if (num_threads_ > 1 && num_chunks > 0 &&
+      fault::ShouldFire("threadpool.caller_stall", &stall_ms)) {
+    // The caller stalls before its first claim until a helper has
+    // claimed a chunk, so the run reaches the helpers' fault sites
+    // however quickly the caller could have finished alone.
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(stall_ms > 0 ? stall_ms
+                                                                 : 1000);
+    while (next_chunk_.load() == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  }
+  for (size_t c = next_chunk_.fetch_add(1); c < num_chunks;
+       c = next_chunk_.fetch_add(1)) {
+    chunk(c, 0);
+  }
+  if (finish) finish();
+}
+
+uint64_t ThreadPool::AwaitRun(uint64_t seen) {
+  while (true) {
+    parked_.fetch_add(1);
+    const uint32_t epoch = wake_epoch_.load();
+    const uint64_t run = run_.load();
+    const bool stopping = stopping_.load();
+    if (run >> 1 != seen || stopping) {
+      parked_.fetch_sub(1);
+      return stopping ? 0 : run;
+    }
+    wake_epoch_.wait(epoch);
+    parked_.fetch_sub(1);
+  }
+}
+
+void ThreadPool::HelperLoop(size_t member, uint64_t seen) {
+  while (true) {
+    const uint64_t run = AwaitRun(seen);
+    if (run == 0) return;
+    seen = run >> 1;
     int64_t stall_ms = 0;
     if (fault::ShouldFire("threadpool.worker_stall", &stall_ms)) {
       fault::CancellableSleepMs(stall_ms > 0 ? stall_ms : 20, nullptr);
     }
-    if (fault::ShouldFire("threadpool.worker_crash")) {
-      // Simulated worker death: the task is dropped (recorded as an
-      // error so barriers and the trainer's redispatch see it) and this
-      // thread exits after arranging a replacement, so pool capacity
-      // survives the crash.
-      std::unique_lock<std::mutex> lock(mu_);
-      RecordErrorLocked(std::make_exception_ptr(
-          fault::InjectedFault("threadpool.worker_crash")));
-      --in_flight_;
-      if (in_flight_ == 0) all_done_.notify_all();
-      if (!shutting_down_) {
-        workers_.emplace_back([this] { WorkerLoop(); });
+    // Join only the run this helper woke for, and only while it is open.
+    active_.fetch_add(1);
+    if (run_.load() != (seen << 1 | kOpen)) {
+      active_.fetch_sub(1);
+      continue;
+    }
+    const bool alive = Work(member);
+    active_.fetch_sub(1);
+    if (!alive) {
+      // Simulated death: a fresh thread takes over this member slot, so
+      // the team's capacity survives the crash.
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!stopping_.load()) {
+        helpers_.emplace_back([this, member, seen] { HelperLoop(member, seen); });
       }
       return;
+    }
+  }
+}
+
+bool ThreadPool::Work(size_t member) {
+  for (size_t c = next_chunk_.fetch_add(1); c < num_chunks_;
+       c = next_chunk_.fetch_add(1)) {
+    if (fault::ShouldFire("threadpool.worker_crash")) {
+      RecordError(std::make_exception_ptr(
+          fault::InjectedFault("threadpool.worker_crash")));
+      return false;
     }
     try {
       if (fault::ShouldFire("threadpool.task_throw")) {
         throw fault::InjectedFault("threadpool.task_throw");
       }
-      task();
+      (*chunk_)(c, member);
     } catch (...) {
-      std::unique_lock<std::mutex> lock(mu_);
-      RecordErrorLocked(std::current_exception());
+      RecordError(std::current_exception());
     }
-    // Relaxed: the counter is monotonic telemetry, not a synchronization
-    // point, so this stays race-free under TSan without ordering cost.
+    // Counted as they run, so a long-lived pool's work shows up in the
+    // metric while it is still alive.
     tasks_executed_.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      --in_flight_;
-      if (in_flight_ == 0) all_done_.notify_all();
-    }
+    tasks_metric_->Increment();
   }
+  return true;
 }
 
-void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
-  ParallelForChunked(n, [&fn](size_t begin, size_t end, size_t /*slot*/) {
-    for (size_t i = begin; i < end; ++i) fn(i);
-  });
+void ThreadPool::RecordError(std::exception_ptr error) {
+  errors_metric_->Increment();
+  errors_seen_.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mu_);
+  if (first_error_ == nullptr) first_error_ = std::move(error);
 }
 
-void ThreadPool::ParallelForChunked(
-    size_t n, const std::function<void(size_t, size_t, size_t)>& fn) {
-  if (n == 0) return;
-  const size_t num_chunks = std::min(n, num_threads());
-  const size_t chunk = (n + num_chunks - 1) / num_chunks;
-  for (size_t slot = 0; slot < num_chunks; ++slot) {
-    const size_t begin = slot * chunk;
-    const size_t end = std::min(n, begin + chunk);
-    if (begin >= end) break;
-    if (!Submit([&fn, begin, end, slot] { fn(begin, end, slot); })) {
-      RLCUT_CHECK(false) << "ParallelFor during pool shutdown";
-    }
-  }
-  Wait();
-  if (std::exception_ptr error = TakeError()) {
-    std::rethrow_exception(error);
-  }
+std::exception_ptr ThreadPool::TakeError() {
+  std::lock_guard<std::mutex> lock(mu_);
+  return std::exchange(first_error_, nullptr);
 }
 
 size_t DefaultThreadCount() {

@@ -245,16 +245,22 @@ void CancellableSleepMs(int64_t ms, const std::atomic<bool>* cancel) {
 const std::vector<SiteInfo>& KnownSites() {
   static const std::vector<SiteInfo> kSites = {
       {"threadpool.task_throw",
-       "a queued task throws before running; the pool records the error"},
+       "a chunk a helper claimed throws before running; the pool "
+       "records the error"},
       {"threadpool.worker_stall",
-       "a worker sleeps `amount` ms (default 20) before running its task"},
+       "a helper sleeps `amount` ms (default 20) before joining a run"},
       {"threadpool.worker_crash",
-       "a worker drops its task and exits; the pool spawns a replacement"},
+       "a helper loses the chunk it claimed and exits; the pool spawns a "
+       "replacement"},
+      {"threadpool.caller_stall",
+       "the caller of a team run claims no chunk until a helper has "
+       "claimed one (at most `amount` ms, default 1000)"},
       {"trainer.chunk_stall",
-       "an agent chunk stalls `amount` ms (default 30, cancellable) "
-       "before scoring"},
+       "an agent chunk a helper claimed stalls `amount` ms (default 30, "
+       "cancellable) before scoring"},
       {"trainer.chunk_abandon",
-       "an agent chunk returns without publishing its scores"},
+       "an agent chunk a helper claimed returns without publishing its "
+       "scores"},
       {"checkpoint.open_fail", "checkpoint temp file cannot be opened"},
       {"checkpoint.short_write",
        "checkpoint write is torn after `amount` bytes"},

@@ -96,7 +96,8 @@ uint64_t TotalFires();
 
 /// Sleeps up to `ms` milliseconds in 1 ms slices, returning early once
 /// `*cancel` becomes true (pass nullptr for an uninterruptible sleep).
-/// Stall sites use this so speculative re-dispatch can abandon them.
+/// Stall sites use this so the trainer's straggler rescue can cut them
+/// short.
 void CancellableSleepMs(int64_t ms, const std::atomic<bool>* cancel);
 
 /// Registry of the failure sites wired into the codebase, for spec

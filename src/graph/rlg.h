@@ -164,7 +164,7 @@ class MmapGraph {
 
 /// The storage seam the tools program against: a graph that is either
 /// owned in memory or memory-mapped from an .rlg file. Everything
-/// downstream (PartitionState, trainer, shard layout, sessions) takes
+/// downstream (PartitionState, trainer, sessions) takes
 /// `const Graph*` and cannot tell the difference.
 class GraphStore {
  public:

@@ -10,9 +10,9 @@
 
 namespace rlcut {
 
-/// One committed master migration, as shipped between shards.
-/// `from` is carried so a replica can verify it is applying the delta
-/// onto the state the owner committed against.
+/// One committed master migration, as shipped to a replica. `from` is
+/// carried so a replica can verify it is applying the delta onto the
+/// state the trainer committed against.
 struct PlanMove {
   VertexId vertex = 0;
   DcId from = 0;
@@ -58,11 +58,11 @@ Status DecodePlanSnapshot(const std::string& bytes, PlanSnapshot* out);
 uint64_t MastersFingerprint(const std::vector<DcId>& masters);
 
 /// A versioned copy of the masters array, kept in sync by applying
-/// PlanDeltas in version order. This is the audit mirror of the
-/// ownership protocol (docs/sharding.md): the trainer applies every
-/// sync interval's committed moves to one replica, checks after the
-/// last sync that it agrees with the authoritative PartitionState bit
-/// for bit, and hands exactly those deltas to an attached ReplicaSink.
+/// PlanDeltas in version order. This is the trainer's audit mirror
+/// (docs/distributed.md): the trainer applies every sync interval's
+/// committed moves to one replica, checks after the last sync that it
+/// agrees with the authoritative PartitionState bit for bit, and hands
+/// exactly those deltas to an attached ReplicaSink.
 /// Scoring reads the PartitionState, never this replica. In the process
 /// split (src/net, docs/distributed.md) the same class backs the
 /// client's mirror and the server's copy on the far side of the RPC.

@@ -349,6 +349,16 @@ BudgetClampResult EnforceMigrationBudget(
   // Rank every move by how much reverting it costs, against the current
   // state (sort-once greedy: deltas are not re-evaluated as reverts
   // land, keeping the clamp deterministic and O(moved * deg * M)).
+  // Explicit (vertex-cut) placements have no what-if evaluation and move
+  // masters with SetMaster, so there a revert is tried and undone.
+  const bool derived = state->derived_placement();
+  const auto revert = [state, derived](VertexId v, DcId to) {
+    if (derived) {
+      state->MoveMaster(v, to);
+    } else {
+      state->SetMaster(v, to);
+    }
+  };
   struct Candidate {
     double delta;
     VertexId v;
@@ -358,8 +368,15 @@ BudgetClampResult EnforceMigrationBudget(
   EvalScratch scratch;
   const double current = state->CurrentObjective().transfer_seconds;
   for (VertexId v : moved) {
-    const double reverted =
-        state->EvaluateMove(v, baseline[v], &scratch).transfer_seconds;
+    double reverted = 0;
+    if (derived) {
+      reverted = state->EvaluateMove(v, baseline[v], &scratch).transfer_seconds;
+    } else {
+      const DcId from = state->master(v);
+      state->SetMaster(v, baseline[v]);
+      reverted = state->CurrentObjective().transfer_seconds;
+      state->SetMaster(v, from);
+    }
     order.push_back({reverted - current, v});
   }
   std::sort(order.begin(), order.end(),
@@ -375,7 +392,7 @@ BudgetClampResult EnforceMigrationBudget(
         bytes_left <= budget.max_bytes) {
       break;
     }
-    state->MoveMaster(c.v, baseline[c.v]);
+    revert(c.v, baseline[c.v]);
     --vertices_left;
     bytes_left -= input_sizes[c.v];
     ++clamp.reverted;

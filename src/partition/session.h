@@ -276,8 +276,9 @@ struct BudgetClampResult {
 /// Clamps `state` so that at most budget.max_vertices masters differ
 /// from `baseline` and the moved input data is at most budget.max_bytes.
 /// Over-budget moves are reverted cheapest-first: each candidate is
-/// scored once by the transfer-time delta of moving it back
-/// (EvaluateMove against the current state), and reverts proceed in
+/// scored once by the transfer-time delta of moving it back (against
+/// the current state: EvaluateMove under derived placement, a SetMaster
+/// tried and undone under an explicit one), and reverts proceed in
 /// ascending (delta, vertex id) order until both caps hold — a
 /// deterministic sort-once greedy. `baseline` and `input_sizes` must
 /// cover the state's vertex set.

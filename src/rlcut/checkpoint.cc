@@ -16,11 +16,10 @@ namespace {
 // (partition/session_io). Host endianness is fine: this is a
 // single-machine pause/resume file, not an interchange format.
 constexpr char kMagic[8] = {'R', 'L', 'C', 'U', 'T', 'C', 'K', 'P'};
-// v2 added TrainerSession::num_shards (the shard count became a
-// checkpoint property when RNG streams moved from per-thread to
-// per-shard keying). v1 files still load: their shard count is the
-// number of saved PRNG streams, which under the per-thread era equals
-// the thread count the session was paused with.
+// v2 added a uint32 stream count ahead of the history, which must agree
+// with the number of saved PRNG streams (it was the shard count of the
+// sharded builds that wrote one stream per shard). The trainer writes
+// one stream; v1 files, and v2 files with several streams, still load.
 constexpr uint32_t kMinFormatVersion = 1;
 constexpr uint32_t kFormatVersion = 2;
 
@@ -44,7 +43,8 @@ std::string EncodePayload(const TrainerCheckpoint& checkpoint) {
   writer.Write<uint8_t>(session.started ? 1 : 0);
   writer.Write<uint8_t>(session.finished ? 1 : 0);
   writer.Write<int64_t>(session.visits_remaining);
-  writer.Write<uint32_t>(session.num_shards);  // v2
+  writer.Write<uint32_t>(
+      static_cast<uint32_t>(session.rng_states.size()));  // v2
   writer.Write<uint64_t>(session.history.size());
   for (const StepStats& step : session.history) {
     writer.Write<int32_t>(step.step);
@@ -89,12 +89,13 @@ Status DecodePayload(const std::string& payload, uint32_t version,
   uint8_t started = 0;
   uint8_t finished = 0;
   uint64_t history_size = 0;
+  uint32_t stream_count = 0;
   if (!reader.Read(&session.next_step) || !reader.Read(&started) ||
       !reader.Read(&finished) ||
       !reader.Read(&session.visits_remaining)) {
     return Status::IoError("truncated checkpoint payload");
   }
-  if (version >= 2 && !reader.Read(&session.num_shards)) {
+  if (version >= 2 && !reader.Read(&stream_count)) {
     return Status::IoError("truncated checkpoint payload");
   }
   if (!reader.Read(&history_size)) {
@@ -143,15 +144,10 @@ Status DecodePayload(const std::string& payload, uint32_t version,
       return Status::IoError("checkpoint contains an all-zero rng state");
     }
   }
-  if (version < 2) {
-    // Pre-sharding files keyed one PRNG stream per worker thread; the
-    // resumed run treats that count as its shard count so the saved
-    // streams keep their meaning.
-    session.num_shards = static_cast<uint32_t>(rng_count);
-  } else if (session.num_shards != 0 && rng_count != 0 &&
-             session.num_shards != rng_count) {
+  if (version >= 2 && stream_count != 0 && rng_count != 0 &&
+      stream_count != rng_count) {
     return Status::IoError(
-        "checkpoint shard count disagrees with its rng state count");
+        "checkpoint stream count disagrees with its rng state count");
   }
   if (!reader.exhausted()) {
     return Status::IoError("trailing bytes in checkpoint payload");

@@ -58,13 +58,12 @@ Status RestoreCheckpoint(const TrainerCheckpoint& checkpoint,
 ///   [8]  payload size in bytes
 ///   [..] payload (host-endian fixed-width fields and arrays)
 ///   [8]  FNV-1a 64-bit checksum of the payload
-/// v2 added TrainerSession::num_shards to the payload; a v1 file's
-/// shard count is inferred from its saved PRNG stream count (which the
-/// pre-sharding trainer keyed per thread), so old checkpoints resume
-/// on a trainer configured with num_shards equal to the thread count
-/// they were paused with. Loading rejects bad magic, unsupported
-/// versions, truncation and checksum mismatches with distinct error
-/// messages.
+/// v2 added the PRNG stream count to the payload; the trainer writes
+/// one stream. v1 files and v2 files with several streams (written by
+/// the sharded builds, one per shard) still load; which of them resume
+/// is RLCutTrainer::ValidateResume's call. Loading rejects bad magic,
+/// unsupported versions, truncation and checksum mismatches with
+/// distinct error messages.
 ///
 /// Saves are crash-consistent (docs/robustness.md): the file is staged
 /// to `path`+".tmp", fsynced, and renamed over `path`, so a crash at

@@ -39,19 +39,12 @@ struct RLCutOptions {
   /// Agents whose migrations are decided against the same state snapshot
   /// and scored in parallel (paper default: 48).
   int batch_size = 48;
-  /// Worker threads; 0 = hardware concurrency. A host property: it only
-  /// sets how much scoring parallelism the trainer uses and never
-  /// affects the trajectory (see num_shards).
+  /// Members of the scoring team (the training thread plus
+  /// num_threads - 1 helpers); 0 = hardware concurrency. A host
+  /// property: it only sets how much scoring parallelism the trainer
+  /// uses and never affects the trajectory, so a checkpoint resumes
+  /// bit-identically under any thread count.
   int num_threads = 0;
-  /// Logical shards the automaton pool is partitioned into, each owning
-  /// a contiguous degree-balanced vertex range (docs/sharding.md). The
-  /// owner shard scores and commits its vertices, and the commit-phase
-  /// PRNG streams are keyed per shard, so the trajectory depends on the
-  /// shard count but never on num_threads — a checkpoint property, not
-  /// a host property. 0 = kDefaultNumShards, which is deliberately a
-  /// constant (not hardware concurrency) so two hosts resume the same
-  /// checkpoint bit-identically without configuring anything.
-  int num_shards = 0;
 
   /// Budget B on inter-DC communication cost, dollars (Eq. 7).
   /// <= 0 disables the constraint.
@@ -88,10 +81,10 @@ struct RLCutOptions {
   /// paper's pure lowest-degree-first sampling.
   double hub_slot_fraction = 0.1;
 
-  /// Straggler mitigation, sharded form (Sec. V-B): dispatch the
-  /// batch's scoring work heaviest shard first. Ownership fixes which
-  /// shard scores each agent, so this only orders the dispatch; it
-  /// affects wall clock, never the trajectory.
+  /// Straggler mitigation (Sec. V-B): split each batch's scoring into
+  /// chunks of equal degree mass rather than equal agent counts, so a
+  /// chunk holding a hub does not hold up the team. It affects wall
+  /// clock, never the trajectory.
   bool straggler_mitigation = true;
 
   /// Extension beyond the paper: weight of the smooth per-link-sum
@@ -123,9 +116,6 @@ struct RLCutOptions {
 
   uint64_t seed = 1;
 };
-
-/// Default logical shard count when RLCutOptions::num_shards is 0.
-inline constexpr int kDefaultNumShards = 8;
 
 }  // namespace rlcut
 

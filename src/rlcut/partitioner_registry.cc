@@ -69,7 +69,6 @@ const std::vector<RegistryEntry>& Registry() {
          opt.t_opt_seconds = o.t_opt_seconds;
          opt.agent_visit_budget = o.agent_visit_budget;
          if (o.max_steps > 0) opt.max_steps = o.max_steps;
-         if (o.num_shards > 0) opt.num_shards = o.num_shards;
          return MakeRLCut(opt);
        }},
       {{"Annealing", "simulated annealing over hybrid-cut masters", false,
@@ -161,9 +160,6 @@ Result<std::unique_ptr<PartitioningSession>> OpenPartitioningSession(
         options.partitioner.agent_visit_budget;
     if (options.partitioner.max_steps > 0) {
       session_options.initial.max_steps = options.partitioner.max_steps;
-    }
-    if (options.partitioner.num_shards > 0) {
-      session_options.initial.num_shards = options.partitioner.num_shards;
     }
     session_options.incremental = session_options.initial;
     session_options.drift_threshold = options.drift_threshold;

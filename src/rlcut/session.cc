@@ -7,7 +7,6 @@
 #include "common/byte_io.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "rlcut/trainer.h"
 
 namespace rlcut {
 namespace {
@@ -34,7 +33,17 @@ Result<std::unique_ptr<RLCutSession>> RLCutSession::Open(
 }
 
 void RLCutSession::Adapt(std::vector<VertexId> eligible, bool first_pass) {
-  RLCutTrainer trainer(first_pass ? options_.initial : options_.incremental);
+  // The first pass trains once under the initial options; every later
+  // pass reuses the session's trainer, and with it the scoring team's
+  // threads. Train keeps no state between calls, so reuse changes
+  // nothing the trainer decides.
+  std::unique_ptr<RLCutTrainer> initial;
+  if (first_pass) {
+    initial = std::make_unique<RLCutTrainer>(options_.initial);
+  } else if (trainer_ == nullptr) {
+    trainer_ = std::make_unique<RLCutTrainer>(options_.incremental);
+  }
+  RLCutTrainer& trainer = first_pass ? *initial : *trainer_;
   trainer.SetReplicaSink(replica_sink_);
   const TrainResult trained =
       trainer.Train(state_.get(), std::move(eligible), pool_.get());

@@ -16,6 +16,7 @@
 #include "partition/session.h"
 #include "rlcut/automaton.h"
 #include "rlcut/options.h"
+#include "rlcut/trainer.h"
 
 namespace rlcut {
 
@@ -127,6 +128,8 @@ class RLCutSession : public PartitioningSession {
 
   RLCutSessionOptions options_;
   std::unique_ptr<AutomatonPool> pool_;
+  // Trains every pass after the first (runtime wiring, like the sink).
+  std::unique_ptr<RLCutTrainer> trainer_;
 
   // Process-split replica sync (not part of the checkpoint: runtime
   // wiring, like thread count).

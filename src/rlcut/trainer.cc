@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <numeric>
 #include <string>
 
@@ -18,24 +15,28 @@
 #include "obs/trace.h"
 #include "partition/plan_delta.h"
 #include "rlcut/checkpoint.h"
-#include "rlcut/shard.h"
 
 namespace rlcut {
 namespace {
 
 // Batches between two delta syncs of the audit replica and the attached
-// sink (docs/sharding.md). Larger values batch more moves per sync
+// sink (docs/distributed.md). Larger values batch more moves per sync
 // message; the committed trajectory is unaffected.
 constexpr int kSyncEveryBatches = 4;
 
-// Scoring deadline of one batch while a fault schedule is armed:
-// injected stalls and dropped pool tasks must resolve through
-// re-dispatch, not by waiting them out. Unarmed runs have no deadline.
-constexpr double kArmedBatchDeadlineSeconds = 0.05;
+// Scoring chunks per team member: more than one, so that a member whose
+// chunk runs long is balanced by the others claiming the rest.
+constexpr size_t kChunksPerThread = 2;
 
-// Speculative re-dispatch rounds before the coordinator scores the
-// remaining shards inline (docs/robustness.md).
-constexpr int kMaxRedispatchRounds = 3;
+// The commit-phase PRNG stream's seed offset (kProbability selection is
+// the only mode that draws from it).
+constexpr uint64_t kStreamSeedOffset = 0x9e37;
+
+// Who scored a chunk: nobody yet, the member that claimed it, or the
+// caller re-scoring it after the counter ran out.
+constexpr uint8_t kUnscored = 0;
+constexpr uint8_t kScoredByClaimant = 1;
+constexpr uint8_t kRescored = 2;
 
 // delta(x) of Eq. 10: 1 if x > 0 else 0.
 inline double Delta(double x) { return x > 0 ? 1.0 : 0.0; }
@@ -109,27 +110,14 @@ obs::Histogram* StageHistogram(const char* name) {
              : nullptr;
 }
 
-// One attempt at scoring one shard's slots. The scoring stage is pure
-// (reads the frozen batch-start state, writes only this buffer), so a
-// shard may be scored several times concurrently — by the original
-// dispatch, a speculative re-dispatch after a deadline, or inline — and
-// any completed attempt is a valid winner. Re-dispatched attempts own
-// their EvalScratch; the first round and the inline run borrow the
-// trainer's per-shard scratch.
-struct ChunkScores {
-  std::vector<double> scores;  // slot-major: [i * num_dcs + r]
+// Eq. 10 scores of one batch, indexed by slot: scores[slot * num_dcs +
+// r] and the best DC rho[slot]. Scoring is pure (it reads the frozen
+// batch-start state and writes only its chunk's slots here), so a chunk
+// may be scored twice at once, by its claimant and by the caller, and
+// either result is the same.
+struct SlotScores {
+  std::vector<double> scores;
   std::vector<DcId> rho;
-  std::unique_ptr<EvalScratch> owned_scratch;
-};
-
-// Coordination for one batch's dispatched scoring: attempts claim a
-// winner and report completion; the coordinator waits with a deadline
-// and re-dispatches stragglers.
-struct BatchSync {
-  std::mutex mu;
-  std::condition_variable cv;
-  size_t claimed = 0;  // shards with a winning attempt
-  size_t pending = 0;  // dispatched attempts not yet finished
 };
 
 // The working state of one RLCutTrainer::Train call. The members are
@@ -141,7 +129,6 @@ struct TrainLoop {
             PartitionState* state, std::vector<VertexId> eligible,
             TrainerSession* session)
       : options(trainer.options()),
-        num_shards(trainer.num_shards()),
         num_threads(trainer.num_threads()),
         workers(*workers),
         state(state),
@@ -149,10 +136,9 @@ struct TrainLoop {
         num_dcs(state->num_dcs()),
         session(session),
         eligible(std::move(eligible)),
-        scratch(num_shards),
-        shard_plan(num_shards),
-        shard_loads(num_shards, 0),
-        round0(num_shards),
+        scratch(num_threads),
+        rng(options.seed + kStreamSeedOffset),
+        scored_by(num_threads * kChunksPerThread),
         sink(sink) {}
 
   bool Start(AutomatonPool* pool);
@@ -163,12 +149,11 @@ struct TrainLoop {
   double SampleRate(int step) const;
   void Sample(double sr);
   void RunBatch(int step, StepStats* stats);
-  void AssignShards();
+  void SplitChunks();
   void Score();
-  void Dispatch(double deadline_seconds);
-  void DispatchShard(size_t s, ChunkScores* buf, EvalScratch* es);
-  bool ScoreChunk(size_t s, EvalScratch* es, ChunkScores* out,
-                  bool dispatched) const;
+  void ScoreClaimed(size_t c, size_t member);
+  void Rescore();
+  bool ScoreChunk(size_t c, EvalScratch* es, SlotScores* out) const;
   void Commit(int step);
   void Migrate(StepStats* stats);
   void SyncReplica();
@@ -177,7 +162,6 @@ struct TrainLoop {
   void WriteCursor(TrainerSession* out) const;
 
   const RLCutOptions& options;
-  const size_t num_shards;
   const size_t num_threads;
   ThreadPool& workers;
   PartitionState* const state;
@@ -205,15 +189,14 @@ struct TrainLoop {
   std::vector<uint8_t> taken;
   std::vector<VertexId> agents;
 
-  // Automata, ownership and per-shard resources. RNG streams are keyed
-  // by logical shard — a checkpoint property — never by worker thread,
-  // so a session paused on a 16-core host resumes bit-identically on a
-  // 4-core one.
+  // Automata, one evaluation scratch per team member, and the one
+  // commit-phase PRNG stream. No random state belongs to a thread, so a
+  // session paused on a 16-core host resumes bit-identically on a 4-core
+  // one.
   std::unique_ptr<AutomatonPool> local_pool;
   AutomatonPool* automata = nullptr;
-  ShardLayout layout;
   std::vector<EvalScratch> scratch;
-  std::vector<Rng> rngs;
+  Rng rng;
 
   // Eq. 10 weights of the current step.
   double over_budget = 0;
@@ -222,25 +205,20 @@ struct TrainLoop {
   double cost_pressure = 0;
 
   // The current batch, agents[batch_begin, batch_begin + batch_len), and
-  // its decisions indexed by position within the batch. shard_plan[s]
-  // lists the slots owned — scored and committed — by shard s, in
-  // ascending slot order; shard s's commit-phase RNG is rngs[s], so
-  // ownership also fixes which PRNG stream each agent draws from.
-  // active_shards lists the shards with work, in dispatch order.
+  // its decisions indexed by position within the batch (its slot).
   size_t batch_begin = 0;
   size_t batch_len = 0;
   Objective batch_objective;
   std::vector<DcId> chosen;
-  std::vector<std::vector<size_t>> shard_plan;
-  std::vector<size_t> active_shards;
-  std::vector<uint64_t> shard_loads;
 
-  // Scoring attempts: one first-round (and inline) buffer per shard,
-  // plus the buffers of speculative re-dispatch attempts.
-  std::vector<ChunkScores> round0;
-  std::vector<std::unique_ptr<ChunkScores>> extra_attempts;
-  std::vector<ChunkScores*> winner;  // guarded by sync.mu while dispatched
-  BatchSync sync;
+  // Scoring. Chunk c is the slots [chunk_start[c], chunk_start[c + 1]);
+  // its claimant writes `claimed`, the caller's re-score writes
+  // `rescored`, and scored_by[c] records which finished first. `cancel`
+  // stops the attempts still running once every chunk has a result.
+  std::vector<size_t> chunk_start;
+  SlotScores claimed;
+  SlotScores rescored;
+  std::vector<std::atomic<uint8_t>> scored_by;
   std::atomic<bool> cancel{false};
 
   // The audit replica. Scoring reads the authoritative PartitionState;
@@ -264,11 +242,9 @@ struct TrainLoop {
   obs::Counter* const total_visits = TrainerCounter("trainer.agent_visits");
   obs::Counter* const total_migrations = TrainerCounter("trainer.migrations");
   obs::Counter* const total_rollbacks = TrainerCounter("trainer.rollbacks");
-  obs::Counter* const shard_syncs = TrainerCounter("trainer.shard_syncs");
-  obs::Counter* const shard_sync_moves =
-      TrainerCounter("trainer.shard_sync_moves");
-  obs::Counter* const chunk_redispatches =
-      TrainerCounter("trainer.chunk_redispatches");
+  obs::Counter* const replica_syncs = TrainerCounter("trainer.replica_syncs");
+  obs::Counter* const replica_sync_moves =
+      TrainerCounter("trainer.replica_sync_moves");
   obs::Counter* const chunk_inline_runs =
       TrainerCounter("trainer.chunk_inline_runs");
   obs::Counter* const masked_pool_errors =
@@ -332,29 +308,16 @@ bool TrainLoop::Start(AutomatonPool* pool) {
   }
   automata = pool;
 
-  // The ownership layout: each logical shard owns a contiguous
-  // degree-balanced vertex range; the owner shard scores and commits
-  // its vertices (docs/sharding.md). A pure function of the graph and
-  // the shard count, so every host rebuilds the same layout.
-  layout = ShardLayout(graph, num_shards);
-
-  // A resumed session reinstates the per-shard PRNG states so a
-  // continued run draws the exact sequence the uninterrupted run would
-  // have.
-  rngs.reserve(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    rngs.emplace_back(options.seed + 0x9e37 * (s + 1));
-  }
+  // A resumed session reinstates the PRNG state so a continued run
+  // draws the exact sequence the uninterrupted run would have. Sessions
+  // saved with several streams (one per shard, by older builds) resume
+  // from the first: the deterministic modes never draw, and callers
+  // with file-sourced kProbability sessions gate on ValidateResume().
   if (resuming && !session->rng_states.empty()) {
-    // Callers with file-sourced sessions (rlcut_tool --resume_from)
-    // gate on ValidateResume() first and exit with a Status; reaching
-    // here with a mismatch is an API-contract violation.
-    RLCUT_CHECK_EQ(session->rng_states.size(), num_shards)
-        << "resuming a session requires the shard count it was paused "
-           "with";
-    for (size_t s = 0; s < num_shards; ++s) {
-      rngs[s].SetState(session->rng_states[s]);
-    }
+    RLCUT_CHECK(options.selection != ActionSelection::kProbability ||
+                session->rng_states.size() == 1)
+        << "a kProbability session resumes from exactly one PRNG stream";
+    rng.SetState(session->rng_states.front());
   }
 
   replica = PlanReplica(state->masters(), num_dcs);
@@ -369,7 +332,12 @@ bool TrainLoop::Start(AutomatonPool* pool) {
   } else {
     visits_remaining = options.agent_visit_budget;
   }
-  chosen.assign(static_cast<size_t>(options.batch_size), kNoDc);
+  const size_t batch_size = static_cast<size_t>(options.batch_size);
+  chosen.assign(batch_size, kNoDc);
+  for (SlotScores* buf : {&claimed, &rescored}) {
+    buf->scores.resize(batch_size * static_cast<size_t>(num_dcs));
+    buf->rho.resize(batch_size);
+  }
   taken.assign(graph.num_vertices(), 0);
   last_objective = state->CurrentObjective();
   started = true;
@@ -461,7 +429,6 @@ void TrainLoop::RunBatch(int step, StepStats* stats) {
   obs::TraceSpan batch_span("trainer/batch", "trainer");
   batch_span.AddArg("agents", static_cast<double>(batch_len));
   batch_objective = state->CurrentObjective();
-  AssignShards();
   Score();
   Commit(step);
   // The migrate span stays open across the delta sync that ends a
@@ -471,168 +438,100 @@ void TrainLoop::RunBatch(int step, StepStats* stats) {
   if (++batches_since_sync >= kSyncEveryBatches) SyncReplica();
 }
 
-// Slot-to-shard assignment (ownership protocol). Each slot belongs to
-// the shard owning its vertex; the assignment is a pure function of the
-// layout, never of the thread count or the load, so the committed
-// trajectory is the same on any host.
-void TrainLoop::AssignShards() {
-  for (std::vector<size_t>& slots : shard_plan) slots.clear();
-  for (size_t slot = 0; slot < batch_len; ++slot) {
-    shard_plan[layout.OwnerOf(agents[batch_begin + slot])].push_back(slot);
+// Splits the batch's slots into contiguous chunks for the team. With
+// straggler mitigation (Sec. V-B, the degree-balanced agent-to-thread
+// assignment) each chunk carries an equal share of the batch's degree+1
+// mass; without it (the Exp#3 ablation) an equal slot count. The split
+// only moves wall clock: every chunk scores against the same
+// batch-start state, and Commit runs in slot order.
+void TrainLoop::SplitChunks() {
+  const size_t n = std::min(batch_len, scored_by.size());
+  chunk_start.assign(1, 0);
+  if (!options.straggler_mitigation) {
+    for (size_t c = 1; c <= n; ++c) chunk_start.push_back(batch_len * c / n);
+    return;
   }
-  active_shards.clear();
-  for (size_t s = 0; s < num_shards; ++s) {
-    if (!shard_plan[s].empty()) active_shards.push_back(s);
+  const auto mass = [this](size_t slot) -> uint64_t {
+    return graph.Degree(agents[batch_begin + slot]) + 1;
+  };
+  uint64_t total = 0;
+  for (size_t slot = 0; slot < batch_len; ++slot) total += mass(slot);
+  uint64_t prefix = 0;
+  size_t slot = 0;
+  for (size_t c = 1; c < n; ++c) {
+    while (slot < batch_len && prefix < total * c / n) prefix += mass(slot++);
+    chunk_start.push_back(slot);
   }
-  if (options.straggler_mitigation && active_shards.size() > 1) {
-    // Straggler mitigation, sharded form (Sec. V-B): ownership pins
-    // which shard scores each agent, so instead of re-balancing the
-    // work itself the heaviest shards are dispatched first and the
-    // light ones fill the tail. Dispatch order only affects wall clock,
-    // never results.
-    for (size_t s : active_shards) {
-      shard_loads[s] = 0;
-      for (size_t slot : shard_plan[s]) {
-        shard_loads[s] += graph.Degree(agents[batch_begin + slot]) + 1;
-      }
-    }
-    std::stable_sort(active_shards.begin(), active_shards.end(),
-                     [this](size_t a, size_t b) {
-                       return shard_loads[a] > shard_loads[b];
-                     });
-  }
+  chunk_start.push_back(batch_len);
 }
 
-// Pure scoring (step 1) for every agent of the batch. All side effects
-// (automaton updates, action selection, PRNG draws) happen in Commit.
+// Pure scoring (step 1) for every agent of the batch, on the team. All
+// side effects (automaton updates, action selection, PRNG draws) happen
+// in Commit.
 void TrainLoop::Score() {
   obs::TraceSpan score_span("trainer/stage/score", "trainer");
   WallTimer stage_timer;
-  winner.assign(num_shards, nullptr);
-  // With one active shard — or one worker thread, where the pool adds
-  // no parallelism — dispatching buys nothing, unless a fault schedule
-  // is armed: the fault sites fire per dispatched shard task.
-  const bool armed = fault::Armed();
-  const bool dispatch = armed || (active_shards.size() > 1 && num_threads > 1);
-  if (dispatch) {
-    Dispatch(armed ? kArmedBatchDeadlineSeconds : 0);
-    // Quiesce before the inline runs reuse first-round buffers and
-    // before the commit/migration phases mutate state: an abandoned
-    // attempt must not be mid-read when the masters move. Free when
-    // nothing is outstanding.
-    cancel.store(true, std::memory_order_relaxed);
-    workers.Wait();
-    cancel.store(false, std::memory_order_relaxed);
-    if (workers.TakeError() != nullptr) masked_pool_errors->Increment();
+  SplitChunks();
+  const size_t num_chunks = chunk_start.size() - 1;
+  for (size_t c = 0; c < num_chunks; ++c) {
+    scored_by[c].store(kUnscored, std::memory_order_relaxed);
   }
-  // Every shard no attempt scored — all of them when nothing was
-  // dispatched — runs inline with fault injection disabled, so the
-  // batch always completes with a full set of scores.
-  for (size_t s : active_shards) {
-    if (winner[s] != nullptr) continue;
-    if (dispatch) chunk_inline_runs->Increment();
-    ScoreChunk(s, &scratch[s], &round0[s], /*dispatched=*/false);
-    winner[s] = &round0[s];
-  }
+  workers.RunTeam(
+      num_chunks,
+      [this](size_t c, size_t member) { ScoreClaimed(c, member); },
+      [this] { Rescore(); });
+  cancel.store(false, std::memory_order_relaxed);
+  if (workers.TakeError() != nullptr) masked_pool_errors->Increment();
   if (score_stage_seconds != nullptr) {
     score_stage_seconds->Observe(stage_timer.ElapsedSeconds());
   }
 }
 
-// Dispatches every active shard to the pool and waits for a winner per
-// shard. Without a winner by the deadline (or once every attempt has
-// failed), the unscored shards are re-dispatched speculatively, with
-// exponential backoff, for up to kMaxRedispatchRounds rounds.
-void TrainLoop::Dispatch(double deadline_seconds) {
-  extra_attempts.clear();
-  {
-    std::lock_guard<std::mutex> lock(sync.mu);
-    sync.claimed = 0;
-    sync.pending = 0;
-  }
-  for (size_t s : active_shards) DispatchShard(s, &round0[s], &scratch[s]);
-  const size_t num_active = active_shards.size();
-  std::unique_lock<std::mutex> lock(sync.mu);
-  const auto settled = [this, num_active] {
-    return sync.claimed == num_active || sync.pending == 0;
-  };
-  for (int round = 0;; ++round) {
-    if (deadline_seconds > 0) {
-      const std::chrono::duration<double> wait(deadline_seconds * (1 << round));
-      sync.cv.wait_for(lock, wait, settled);
-    } else {
-      sync.cv.wait(lock, settled);
-    }
-    if (sync.claimed == num_active || round == kMaxRedispatchRounds) return;
-    for (size_t s : active_shards) {
-      if (winner[s] != nullptr) continue;
-      auto attempt = std::make_unique<ChunkScores>();
-      attempt->owned_scratch = std::make_unique<EvalScratch>();
-      ChunkScores* raw = attempt.get();
-      extra_attempts.push_back(std::move(attempt));
-      chunk_redispatches->Increment();
-      lock.unlock();
-      DispatchShard(s, raw, raw->owned_scratch.get());
-      lock.lock();
-    }
-  }
-}
-
-// Dispatches one attempt at shard `s`'s slots into `buf`. The first
-// completed attempt per shard is the winner; late duplicates see the
-// claim (or the cancel flag) and discard themselves.
-void TrainLoop::DispatchShard(size_t s, ChunkScores* buf, EvalScratch* es) {
-  {
-    std::lock_guard<std::mutex> lock(sync.mu);
-    ++sync.pending;
-  }
-  const bool submitted = workers.Submit([this, s, buf, es] {
-    bool ok = false;
-    try {
-      ok = ScoreChunk(s, es, buf, /*dispatched=*/true);
-    } catch (...) {
-      // A failed attempt is not fatal: the deadline loop re-dispatches
-      // and the inline run would surface a persistent error. Swallowing
-      // keeps pending accurate.
-    }
-    std::lock_guard<std::mutex> lock(sync.mu);
-    if (ok && winner[s] == nullptr) {
-      winner[s] = buf;
-      ++sync.claimed;
-    }
-    --sync.pending;
-    sync.cv.notify_all();
-  });
-  if (!submitted) {
-    std::lock_guard<std::mutex> lock(sync.mu);
-    --sync.pending;
-  }
-}
-
-// Scores every DC (Eq. 10) for shard `s`'s slots into `out`; false if
-// the attempt was abandoned. Reads only the frozen batch-start state,
-// so attempts are idempotent and safe to run speculatively in
-// parallel. Dispatched attempts are where the trainer.chunk_* fault
-// sites fire, and they stop early once `cancel` is set.
-bool TrainLoop::ScoreChunk(size_t s, EvalScratch* es, ChunkScores* out,
-                           bool dispatched) const {
-  if (dispatched) {
+// Chunk c on the member that claimed it. The trainer.chunk_* fault sites
+// fire on helpers only: the caller's own chunks always complete.
+void TrainLoop::ScoreClaimed(size_t c, size_t member) {
+  if (member != 0) {
+    if (fault::ShouldFire("trainer.chunk_abandon")) return;
     int64_t stall_ms = 0;
-    if (fault::ShouldFire("trainer.chunk_abandon")) return false;
     if (fault::ShouldFire("trainer.chunk_stall", &stall_ms)) {
       fault::CancellableSleepMs(stall_ms > 0 ? stall_ms : 30, &cancel);
     }
   }
-  const std::vector<size_t>& slots = shard_plan[s];
-  out->scores.resize(slots.size() * static_cast<size_t>(num_dcs));
-  out->rho.resize(slots.size());
+  if (ScoreChunk(c, &scratch[member], &claimed)) {
+    uint8_t unscored = kUnscored;
+    scored_by[c].compare_exchange_strong(unscored, kScoredByClaimant);
+  }
+}
+
+// The straggler rescue, run by the caller once every chunk is claimed:
+// it re-scores each chunk whose claimant has not finished (lost to a
+// failing helper, abandoned, stalled or just slow), and the first
+// finisher wins. Then it cancels what is still running, and RunTeam
+// waits for those helpers to leave before Commit mutates the state.
+void TrainLoop::Rescore() {
+  for (size_t c = 0; c + 1 < chunk_start.size(); ++c) {
+    if (scored_by[c].load() != kUnscored) continue;
+    chunk_inline_runs->Increment();
+    if (ScoreChunk(c, &scratch[0], &rescored)) {
+      uint8_t unscored = kUnscored;
+      scored_by[c].compare_exchange_strong(unscored, kRescored);
+    }
+  }
+  cancel.store(true, std::memory_order_relaxed);
+}
+
+// Scores every DC (Eq. 10) for chunk c's slots into `out`; false if the
+// attempt stopped early because the other attempt at the chunk won or
+// the batch was cancelled. Reads only the frozen batch-start state.
+bool TrainLoop::ScoreChunk(size_t c, EvalScratch* es, SlotScores* out) const {
   Objective evals[kMaxDataCenters];
   const Objective& current = batch_objective;
-  for (size_t i = 0; i < slots.size(); ++i) {
-    if (dispatched && cancel.load(std::memory_order_relaxed)) {
-      return false;  // abandoned: a sibling attempt won, or quiescing
+  for (size_t slot = chunk_start[c]; slot < chunk_start[c + 1]; ++slot) {
+    if (scored_by[c].load(std::memory_order_relaxed) != kUnscored ||
+        cancel.load(std::memory_order_relaxed)) {
+      return false;
     }
-    const VertexId v = agents[batch_begin + slots[i]];
+    const VertexId v = agents[batch_begin + slot];
     // Score every DC from one batched what-if pass — EvaluateMoveAll
     // collects the affected set and the destination-independent base
     // deltas once instead of per DC. Seed rho at the current master
@@ -640,7 +539,7 @@ bool TrainLoop::ScoreChunk(size_t s, EvalScratch* es, ChunkScores* out,
     // move".
     DcId rho = state->master(v);
     double best_score = 0;
-    double* scores = out->scores.data() + i * static_cast<size_t>(num_dcs);
+    double* scores = out->scores.data() + slot * static_cast<size_t>(num_dcs);
     state->EvaluateMoveAll(v, es, evals);
     for (DcId r = 0; r < num_dcs; ++r) {
       const Objective& moved = (r == state->master(v)) ? current : evals[r];
@@ -653,30 +552,29 @@ bool TrainLoop::ScoreChunk(size_t s, EvalScratch* es, ChunkScores* out,
         rho = r;
       }
     }
-    out->rho[i] = rho;
+    out->rho[slot] = rho;
   }
   return true;
 }
 
-// Sequential commit: steps 2-4 for every agent. Owner shards commit in
-// ascending shard order (slots ascending within a shard), each drawing
-// from its own PRNG stream (rngs[s]) — a pure function of the shard
-// layout, so the commit sequence is identical however the scoring
-// attempts were scheduled and whatever the thread count.
+// Sequential commit: steps 2-4 for every agent in slot order, drawing
+// from the one PRNG stream, so the commit sequence is the same however
+// the chunks were scheduled and whatever the thread count.
 void TrainLoop::Commit(int step) {
-  for (size_t s = 0; s < num_shards; ++s) {
-    if (shard_plan[s].empty()) continue;
-    const ChunkScores& buf = *winner[s];
-    for (size_t i = 0; i < shard_plan[s].size(); ++i) {
-      const size_t slot = shard_plan[s][i];
+  for (size_t c = 0; c + 1 < chunk_start.size(); ++c) {
+    const SlotScores& buf = scored_by[c].load(std::memory_order_relaxed) ==
+                                    kRescored
+                                ? rescored
+                                : claimed;
+    for (size_t slot = chunk_start[c]; slot < chunk_start[c + 1]; ++slot) {
       const VertexId v = agents[batch_begin + slot];
       const double* scores =
-          buf.scores.data() + i * static_cast<size_t>(num_dcs);
+          buf.scores.data() + slot * static_cast<size_t>(num_dcs);
       // Steps 2+3: reinforcement signal for rho, probability update.
-      automata->UpdateSignals(v, buf.rho[i]);
+      automata->UpdateSignals(v, buf.rho[slot]);
       // Step 4: UCB action selection; record the normalized score of
       // the selected action as its observed reward.
-      const DcId action = automata->SelectAction(v, step + 1, &rngs[s]);
+      const DcId action = automata->SelectAction(v, step + 1, &rng);
       double best_score = 0;
       double min_score = 0;
       for (DcId r = 0; r < num_dcs; ++r) {
@@ -732,14 +630,14 @@ void TrainLoop::Migrate(StepStats* stats) {
 }
 
 // Applies the pending delta to the audit replica and hands it to the
-// sink (docs/sharding.md).
+// sink (docs/distributed.md).
 void TrainLoop::SyncReplica() {
   sync_delta.base_version = replica.version();
   const Status synced = replica.Apply(sync_delta);
   RLCUT_CHECK(synced.ok())
-      << "shard delta-sync rejected: " << synced.ToString();
-  shard_syncs->Increment();
-  shard_sync_moves->Increment(sync_delta.moves.size());
+      << "replica delta-sync rejected: " << synced.ToString();
+  replica_syncs->Increment();
+  replica_sync_moves->Increment(sync_delta.moves.size());
   if (sink != nullptr) {
     const Status pushed = sink->PushDelta(sync_delta);
     if (!pushed.ok()) {
@@ -838,11 +736,7 @@ void TrainLoop::WriteCursor(TrainerSession* out) const {
   out->next_step = next_step;
   out->visits_remaining = visits_remaining;
   out->history = result.steps;
-  out->num_shards = static_cast<uint32_t>(num_shards);
-  out->rng_states.resize(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    out->rng_states[s] = rngs[s].State();
-  }
+  out->rng_states.assign(1, rng.State());
 }
 
 // Every exit of Train ends here: the residual sync and the replica
@@ -920,11 +814,6 @@ Status ValidateRLCutOptions(const RLCutOptions& options) {
         "num_threads must be >= 0 (0 = hardware concurrency), got " +
         std::to_string(options.num_threads));
   }
-  if (options.num_shards < 0) {
-    return Status::InvalidArgument(
-        "num_shards must be >= 0 (0 = kDefaultNumShards), got " +
-        std::to_string(options.num_shards));
-  }
   if (options.checkpoint_every_steps < 0) {
     return Status::InvalidArgument(
         "checkpoint_every_steps must be >= 0 (0 = disabled), got " +
@@ -952,35 +841,26 @@ RLCutTrainer::RLCutTrainer(const RLCutOptions& options) : options_(options) {
   options_.max_steps = std::max(1, options_.max_steps);
   options_.batch_size = std::max(1, options_.batch_size);
   options_.num_threads = std::max(0, options_.num_threads);
-  options_.num_shards = std::max(0, options_.num_shards);
   num_threads_ = options_.num_threads > 0
                      ? static_cast<size_t>(options_.num_threads)
                      : DefaultThreadCount();
-  // The shard count deliberately does NOT default to hardware
-  // concurrency: it is a checkpoint property (see RLCutOptions), so its
-  // default must be the same constant on every host.
-  num_shards_ = options_.num_shards > 0
-                    ? static_cast<size_t>(options_.num_shards)
-                    : static_cast<size_t>(kDefaultNumShards);
   pool_ = std::make_unique<ThreadPool>(num_threads_);
 }
 
 RLCutTrainer::~RLCutTrainer() = default;
 
 Status RLCutTrainer::ValidateResume(const TrainerSession& session) const {
-  // Legacy (pre-sharding) sessions carry the shard count implicitly as
-  // the number of saved PRNG streams.
-  const size_t session_shards = session.num_shards != 0
-                                    ? static_cast<size_t>(session.num_shards)
-                                    : session.rng_states.size();
-  if (session.started && session_shards != 0 &&
-      session_shards != num_shards_) {
+  // Only kProbability draws from the stream, so only it depends on which
+  // stream a session continues from.
+  if (session.started && options_.selection == ActionSelection::kProbability &&
+      session.rng_states.size() > 1) {
     return Status::FailedPrecondition(
-        "cannot resume: session was paused with " +
-        std::to_string(session_shards) + " shards but this trainer has " +
-        std::to_string(num_shards_) +
-        " (set RLCutOptions::num_shards to match; the shard count is a "
-        "checkpoint property, while the thread count may differ freely)");
+        "cannot resume: the session was saved with " +
+        std::to_string(session.rng_states.size()) +
+        " PRNG streams (a sharded run), but kProbability selection "
+        "continues exactly one stream; restart the run from the beginning "
+        "(sessions of the deterministic selection modes resume from any "
+        "stream count)");
   }
   return Status::Ok();
 }

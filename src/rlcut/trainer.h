@@ -56,13 +56,10 @@ struct TrainerSession {
   int64_t visits_remaining = 0;
   /// Telemetry of the steps completed so far (input to Eq. 14).
   std::vector<StepStats> history;
-  /// Logical shard count the run trains with (docs/sharding.md). A
-  /// checkpoint property: resuming requires a trainer with the same
-  /// shard count, but any thread count. 0 = not yet started (or a
-  /// legacy session, where rng_states.size() carries the count).
-  uint32_t num_shards = 0;
-  /// Per-shard PRNG states, rng_states[s] belonging to shard s; only
-  /// the kProbability action selection actually draws from these.
+  /// State of the commit-phase PRNG stream, which only the kProbability
+  /// action selection draws from. The trainer writes exactly one;
+  /// sessions saved by older, sharded builds may carry one per shard
+  /// (see RLCutTrainer::ValidateResume).
   std::vector<std::array<uint64_t, 4>> rng_states;
 };
 
@@ -94,12 +91,13 @@ struct TrainResult {
 /// migration with rollback — with three overhead optimizations:
 ///
 ///  * batching: agents within a batch decide against the batch-start
-///    state and are scored in parallel by their owner shards, each
-///    owning a contiguous degree-balanced vertex range
-///    (docs/sharding.md);
-///  * straggler mitigation: heaviest-shard-first dispatch of the
-///    scoring work (Sec. V-B, sharded form — order affects wall clock,
-///    never the trajectory);
+///    state and are scored in parallel, on a team of num_threads
+///    members that claim contiguous chunks of the batch; commit and
+///    migration then run sequentially in batch order;
+///  * straggler mitigation: chunks of equal degree mass (Sec. V-B's
+///    degree-balanced agent-to-thread assignment), and the caller
+///    re-scores any chunk a helper has not finished once every chunk is
+///    claimed — wall clock only, never the trajectory;
 ///  * adaptive sampling: the lowest-degree SR_i fraction of agents
 ///    trains in step i, SR_i sized by Eq. 14 to meet T_opt (Sec. V-C).
 /// Construction-time validation of trainer options, Status-based like
@@ -127,7 +125,7 @@ class RLCutTrainer {
 
   /// Infallible construction for callers with programmatic options:
   /// out-of-range values are clamped to their nearest legal value
-  /// (max_steps/batch_size to >= 1, thread/shard counts to >= 0).
+  /// (max_steps/batch_size to >= 1, the thread count to >= 0).
   explicit RLCutTrainer(const RLCutOptions& options);
   ~RLCutTrainer();
 
@@ -157,16 +155,17 @@ class RLCutTrainer {
                     AutomatonPool* pool, TrainerSession* session);
 
   /// Whether `session` (typically file-sourced, see rlcut/checkpoint.h)
-  /// can be resumed by this trainer: the saved shard count must match
-  /// this trainer's. Thread count is deliberately NOT checked — RNG and
-  /// worker state are keyed per shard, so a session paused on a 16-core
-  /// host resumes bit-identically on a 4-core one. Callers holding
-  /// sessions from external input should gate on this instead of
-  /// letting Train hit its API-contract CHECK.
+  /// can be resumed by this trainer. The thread count is deliberately
+  /// not checked: no state is keyed by thread, so a session paused on a
+  /// 16-core host resumes bit-identically on a 4-core one. The one
+  /// refusal is a kProbability session saved with several PRNG streams
+  /// (FailedPrecondition naming the count), which this trainer cannot
+  /// continue bit-identically. Callers holding sessions from external
+  /// input should gate on this instead of letting Train hit its
+  /// API-contract CHECK.
   Status ValidateResume(const TrainerSession& session) const;
 
   size_t num_threads() const { return num_threads_; }
-  size_t num_shards() const { return num_shards_; }
   const RLCutOptions& options() const { return options_; }
 
   /// Attaches an external replica sink: Train feeds it the starting
@@ -180,7 +179,6 @@ class RLCutTrainer {
  private:
   RLCutOptions options_;
   size_t num_threads_;
-  size_t num_shards_;
   std::unique_ptr<ThreadPool> pool_;
   ReplicaSink* replica_sink_ = nullptr;
 };

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "cloud/topology.h"
+#include "common/random.h"
 #include "graph/generators.h"
 #include "graph/geo.h"
 #include "rlcut/checkpoint.h"
@@ -16,9 +17,9 @@ namespace rlcut {
 namespace {
 
 // Small deterministic problem + trainer options shared by all tests.
-// Determinism requires a visit budget instead of wall-clock T_opt and a
-// fixed shard count (RNG states are per shard; the thread count is a
-// host property and may vary freely across pause/resume).
+// Determinism requires a visit budget instead of wall-clock T_opt (the
+// thread count is a host property and may vary freely across
+// pause/resume).
 class CheckpointTest : public ::testing::Test {
  protected:
   CheckpointTest() : topology_(MakeEc2Topology(4, Heterogeneity::kMedium)) {
@@ -146,7 +147,7 @@ TEST_F(CheckpointTest, SeedSweepResumeEqualsUninterrupted) {
 
 TEST_F(CheckpointTest, ProbabilitySelectionRestoresRngExactly) {
   // kProbability is the only selection strategy that draws from the
-  // per-shard PRNGs, so it exercises the RNG state round-trip.
+  // PRNG stream, so it exercises the RNG state round-trip.
   RLCutOptions options = Options(/*seed=*/5);
   options.selection = ActionSelection::kProbability;
   const std::vector<DcId> reference = UninterruptedMasters(options);
@@ -157,8 +158,7 @@ TEST_F(CheckpointTest, ProbabilitySelectionRestoresRngExactly) {
   TrainerSession session;
   session.stop_after_step = 2;
   trainer.Train(state.get(), AllVertices(), &pool, &session);
-  ASSERT_EQ(session.rng_states.size(), trainer.num_shards());
-  EXPECT_EQ(session.num_shards, trainer.num_shards());
+  ASSERT_EQ(session.rng_states.size(), 1u);
 
   session.stop_after_step = -1;
   trainer.Train(state.get(), AllVertices(), &pool, &session);
@@ -166,10 +166,10 @@ TEST_F(CheckpointTest, ProbabilitySelectionRestoresRngExactly) {
 }
 
 TEST_F(CheckpointTest, ResumeUnderDifferentThreadCountIsBitIdentical) {
-  // The shard count is a checkpoint property; the thread count is a
-  // host property. A run paused on a 2-thread host and resumed on 1-
-  // and 4-thread hosts must finish bit-identical to the uninterrupted
-  // run — including when kProbability draws from the per-shard PRNGs.
+  // The thread count is a host property. A run paused on a 2-thread
+  // host and resumed on 1- and 4-thread hosts must finish bit-identical
+  // to the uninterrupted run — including when kProbability draws from
+  // the PRNG stream.
   for (const ActionSelection selection :
        {ActionSelection::kUcbBlend, ActionSelection::kProbability}) {
     RLCutOptions options = Options(/*seed=*/11);
@@ -213,25 +213,56 @@ TEST_F(CheckpointTest, ResumeUnderDifferentThreadCountIsBitIdentical) {
 }
 
 TEST_F(CheckpointTest, ValidateResumeRejectsShardCountMismatch) {
-  const RLCutOptions options = Options(/*seed=*/3);
+  // A session saved by a sharded build carries one PRNG stream per
+  // shard. kProbability draws from the stream, so the one-stream trainer
+  // refuses to continue such a session; the deterministic modes never
+  // draw and resume it bit-identically.
+  for (const ActionSelection selection :
+       {ActionSelection::kUcbBlend, ActionSelection::kProbability}) {
+    RLCutOptions options = Options(/*seed=*/3);
+    options.selection = selection;
+    const std::vector<DcId> reference = UninterruptedMasters(options);
+    auto state = MakeState();
+    AutomatonPool pool(graph_.num_vertices(), topology_.num_dcs(), options);
+    RLCutTrainer trainer(options);
+    TrainerSession session;
+    session.stop_after_step = 2;
+    trainer.Train(state.get(), AllVertices(), &pool, &session);
+    ASSERT_TRUE(trainer.ValidateResume(session).ok());
+
+    TrainerSession sharded = session;
+    for (uint64_t s = 1; s < 8; ++s) {
+      sharded.rng_states.push_back(Rng(options.seed + 0x9e37 * (s + 1)).State());
+    }
+    const Status status = trainer.ValidateResume(sharded);
+    if (selection == ActionSelection::kProbability) {
+      EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+      EXPECT_NE(status.message().find("8 PRNG streams"), std::string::npos)
+          << status.ToString();
+      continue;
+    }
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    sharded.stop_after_step = -1;
+    trainer.Train(state.get(), AllVertices(), &pool, &sharded);
+    EXPECT_EQ(state->masters(), reference);
+    EXPECT_EQ(sharded.rng_states.size(), 1u);
+  }
+}
+
+TEST_F(CheckpointTest, ProbabilityStreamIsSeededFromTheRunSeed) {
+  // The one commit-phase stream starts at seed + 0x9e37, the stream the
+  // sharded builds gave shard 0, so kProbability plans equal theirs at
+  // one shard.
+  RLCutOptions options = Options(/*seed=*/21);
+  options.selection = ActionSelection::kProbability;
   auto state = MakeState();
   AutomatonPool pool(graph_.num_vertices(), topology_.num_dcs(), options);
-  RLCutTrainer trainer(options);
   TrainerSession session;
-  session.stop_after_step = 2;
-  trainer.Train(state.get(), AllVertices(), &pool, &session);
-
-  RLCutOptions mismatched = options;
-  mismatched.num_shards = static_cast<int>(trainer.num_shards()) + 1;
-  const Status status = RLCutTrainer(mismatched).ValidateResume(session);
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("shards"), std::string::npos);
-
-  // A legacy (v1) session carries no shard count; the rng-state count
-  // stands in for it, so a trainer with a matching shard count resumes.
-  TrainerSession legacy = session;
-  legacy.num_shards = 0;
-  EXPECT_TRUE(trainer.ValidateResume(legacy).ok());
+  session.stop_after_step = 0;
+  RLCutTrainer(options).Train(state.get(), AllVertices(), &pool, &session);
+  ASSERT_TRUE(session.paused);
+  ASSERT_EQ(session.rng_states.size(), 1u);
+  EXPECT_EQ(session.rng_states[0], Rng(21 + 0x9e37).State());
 }
 
 TEST_F(CheckpointTest, ResumingFinishedRunIsANoOp) {

@@ -288,40 +288,27 @@ TEST(Pow2HistogramTest, Buckets) {
 
 TEST(ThreadPoolTest, RunsAllTasks) {
   ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
+  std::vector<std::atomic<int>> hits(100);
+  for (int run = 0; run < 3; ++run) {
+    pool.RunTeam(100, [&hits](size_t c, size_t) { hits[c].fetch_add(1); });
   }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 3);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversIndices) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(257);
-  pool.ParallelFor(257, [&hits](size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, ParallelForChunkedSlotsDisjoint) {
-  ThreadPool pool(4);
-  std::vector<int> owner(100, -1);
-  pool.ParallelForChunked(100, [&owner](size_t begin, size_t end,
-                                        size_t slot) {
-    for (size_t i = begin; i < end; ++i) owner[i] = static_cast<int>(slot);
-  });
-  for (int o : owner) EXPECT_GE(o, 0);
-}
-
-TEST(ThreadPoolTest, WaitIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 1);
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 2);
+TEST(ThreadPoolTest, OneThreadRunsEverythingOnTheCaller) {
+  ThreadPool pool(1);
+  std::vector<int> order;
+  bool finished = false;
+  pool.RunTeam(
+      5,
+      [&order](size_t c, size_t member) {
+        EXPECT_EQ(member, 0u);
+        order.push_back(static_cast<int>(c));
+      },
+      [&] { finished = true; });
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_TRUE(finished);
+  EXPECT_EQ(pool.tasks_executed(), 0u);
 }
 
 TEST(ThreadPoolTest, DefaultThreadCountPositive) {

@@ -22,13 +22,14 @@ std::vector<std::string> LaneNames() {
 
 // Counts that depend on thread timing rather than on the case seed:
 // which net faults fire decides each net session's outcome class, and
-// chaos fire totals move with the worker interleaving. Pass/fail does
-// not depend on them.
+// chaos and thread-lane fire totals move with the helpers' interleaving
+// (how many chunks a helper claims). Pass/fail does not depend on them;
+// the thread lane itself fails an armed run that injects no fault.
 bool TimingDependent(const std::string& lane, const std::string& count) {
   if (lane == "net") {
     return count != "cases" && count != "kill resyncs" && count != "over tcp";
   }
-  return lane == "chaos" && count == "injected fires";
+  return (lane == "chaos" || lane == "thread") && count == "injected fires";
 }
 
 class LaneTest : public ::testing::TestWithParam<std::string> {

@@ -464,6 +464,32 @@ TEST_P(SessionContractTest, IdleReoptimizationKeepsThePlan) {
   EXPECT_TRUE(session->live_state()->CheckInvariants());
 }
 
+TEST_P(SessionContractTest, HonoursABindingMigrationBudget) {
+  // Vertex-cut kinds (Leopard, RandPG) hold an explicit placement, so
+  // the clamp must revert their masters without the derived-placement
+  // what-if evaluation.
+  std::unique_ptr<PartitioningSession> session = Open();
+  ASSERT_NE(session, nullptr);
+  MigrationBudget budget;
+  budget.max_vertices = 5;
+  uint64_t reverted = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    if (pass > 0) {
+      ASSERT_TRUE(session->ApplyDelta(SuffixBatches(1)[0]).ok());
+    }
+    auto reoptimized = session->MaybeReoptimize(budget);
+    ASSERT_TRUE(reoptimized.ok()) << reoptimized.status().ToString();
+    reverted += reoptimized->reverted_vertices;
+    auto plan = session->PublishPlan();
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_LE(plan->migration.vertices_moved, budget.max_vertices)
+        << "pass " << pass;
+    EXPECT_TRUE(session->live_state()->CheckInvariants());
+  }
+  // The budget did bind: without it the first pass moves more.
+  EXPECT_GT(reverted, 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllKinds, SessionContractTest,
                          ::testing::Values("RLCut", "Spinner", "Leopard",
                                            "Ginger", "RandPG"),

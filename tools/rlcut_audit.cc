@@ -1,12 +1,12 @@
 // Correctness audit tool: runs the audit lanes of check/lane.h — the
 // differential oracle, loader corpus replay and fuzzing, and the
-// renumber, shard, chaos, net and stream oracles — and exits non-zero
+// renumber, thread, chaos, net and stream oracles — and exits non-zero
 // on any failure. Every failure prints the command that replays it:
 //
 //   rlcut_audit                         # every lane, smoke tier (ctest)
 //   rlcut_audit --tier=ci               # every lane, per-commit CI tier
-//   rlcut_audit --lane=shard,net --tier=nightly --seed=20261017
-//   rlcut_audit --lane=shard --seed=787 --count=1   # replay one case
+//   rlcut_audit --lane=thread,net --tier=nightly --seed=20261017
+//   rlcut_audit --lane=thread --seed=787 --count=1  # replay one case
 
 #include <cstdio>
 #include <string>

@@ -19,8 +19,8 @@
 // non-zero if trainer_steps_per_sec falls below `--trainer_floor_frac`
 // of the committed value, or if any op's measured bytes_per_op exceeds
 // its committed ceiling (steady-state evaluation ops must stay
-// allocation-free). The 4-shard trainer rate is gated against the
-// 1-shard rate measured in the same run (--shard4_ratio_floor), not
+// allocation-free). The 4-thread trainer rate is gated against the
+// 1-thread rate measured in the same run (--threads4_ratio_floor), not
 // against a committed absolute value.
 //
 // bytes_per_op is a real heap measurement, not an estimate: this TU
@@ -366,7 +366,7 @@ struct LayoutResult {
 
 void EmitJson(std::FILE* f, const std::vector<OpResult>& results,
               const std::string& commit, double trainer_steps_per_sec,
-              double trainer_shard1, double trainer_shard4, double speedup,
+              double trainer_threads1, double trainer_threads4, double speedup,
               const LayoutResult& layout, const ServeResult& serve) {
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"commit\": \"%s\",\n", commit.c_str());
@@ -378,10 +378,10 @@ void EmitJson(std::FILE* f, const std::vector<OpResult>& results,
   std::fprintf(f, "  \"evaluate_move_all_speedup\": %.3f,\n", speedup);
   std::fprintf(f, "  \"trainer_steps_per_sec\": %.3f,\n",
                trainer_steps_per_sec);
-  std::fprintf(f, "  \"trainer_steps_per_sec_shard1\": %.3f,\n",
-               trainer_shard1);
-  std::fprintf(f, "  \"trainer_steps_per_sec_shard4\": %.3f,\n",
-               trainer_shard4);
+  std::fprintf(f, "  \"trainer_steps_per_sec_threads1\": %.3f,\n",
+               trainer_threads1);
+  std::fprintf(f, "  \"trainer_steps_per_sec_threads4\": %.3f,\n",
+               trainer_threads4);
   std::fprintf(f, "  \"vertex_order\": \"%s\",\n",
                layout.order_name.c_str());
   std::fprintf(f, "  \"evaluate_move_all_locality_speedup\": %.3f,\n",
@@ -433,9 +433,9 @@ int main(int argc, char** argv) {
                      "fail if trainer_steps_per_sec drops below this "
                      "fraction of the reference value (slack absorbs "
                      "shared-runner load; allocation gates are exact)");
-  flags.DefineDouble("shard4_ratio_floor", 0.5,
-                     "fail if the 4-shard trainer rate falls below this "
-                     "fraction of the 1-shard rate measured in the same "
+  flags.DefineDouble("threads4_ratio_floor", 0.5,
+                     "fail if the 4-thread trainer rate falls below this "
+                     "fraction of the 1-thread rate measured in the same "
                      "run (a relative gate is load-independent, unlike "
                      "an absolute committed floor)");
   flags.DefineString("vertex_order", "degree",
@@ -613,22 +613,22 @@ int main(int argc, char** argv) {
                 out.train.overhead_seconds
           : 0;
 
-  // Shard-scaling fixture: the same run pinned to 1 and 4 shards. On a
-  // multi-core runner shard4/shard1 tracks the scoring parallelism the
-  // sharded runtime exposes; on a single-core runner the ratio is ~1.0
-  // (the dispatch falls back inline). Both land in the JSON so CI can
+  // Thread-scaling fixture: the same run pinned to 1 and 4 threads. On a
+  // multi-core runner threads4/threads1 tracks the scoring parallelism
+  // the team exposes; on a single-core runner the ratio is ~1.0 (the
+  // caller scores every chunk itself). Both land in the JSON so CI can
   // gate them against the committed reference.
-  auto trainer_rate_with_shards = [&](int num_shards) {
+  auto trainer_rate_with_threads = [&](int num_threads) {
     RLCutOptions opt = train_opt;
-    opt.num_shards = num_shards;
+    opt.num_threads = num_threads;
     const RLCutRunOutput run = RunRLCut(ctx, opt);
     return run.train.overhead_seconds > 0
                ? static_cast<double>(run.train.steps.size()) /
                      run.train.overhead_seconds
                : 0;
   };
-  const double trainer_shard1 = trainer_rate_with_shards(1);
-  const double trainer_shard4 = trainer_rate_with_shards(4);
+  const double trainer_threads1 = trainer_rate_with_threads(1);
+  const double trainer_threads4 = trainer_rate_with_threads(4);
 
   // Ordered-vs-natural trainer rates. Best-of-3 on each layout: the
   // runs are short, and the ratio gate needs a location statistic less
@@ -727,10 +727,10 @@ int main(int argc, char** argv) {
     return 2;
   }
   EmitJson(f, results, flags.GetString("commit"), trainer_steps_per_sec,
-           trainer_shard1, trainer_shard4, speedup, layout, serve);
+           trainer_threads1, trainer_threads4, speedup, layout, serve);
   std::fclose(f);
   EmitJson(stdout, results, flags.GetString("commit"), trainer_steps_per_sec,
-           trainer_shard1, trainer_shard4, speedup, layout, serve);
+           trainer_threads1, trainer_threads4, speedup, layout, serve);
   std::fprintf(stdout,
                "single=%.0fns all(8)=%.0fns loop(8)=%.0fns speedup=%.2fx\n",
                single_ns, all_ns, loop_ns, speedup);
@@ -760,16 +760,17 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Shard scaling is gated relative to the 1-shard rate measured in
+  // Thread scaling is gated relative to the 1-thread rate measured in
   // this very run: both rates see the same machine load, so the ratio
   // is stable where an absolute committed floor is not.
-  const double shard4_ratio_floor = flags.GetDouble("shard4_ratio_floor");
-  if (shard4_ratio_floor > 0 && trainer_shard1 > 0 &&
-      trainer_shard4 < shard4_ratio_floor * trainer_shard1) {
+  const double threads4_ratio_floor = flags.GetDouble("threads4_ratio_floor");
+  if (threads4_ratio_floor > 0 && trainer_threads1 > 0 &&
+      trainer_threads4 < threads4_ratio_floor * trainer_threads1) {
     std::fprintf(stderr,
-                 "FAIL: shard4 trainer rate %.0f steps/s below %.0f%% of "
-                 "same-run shard1 rate %.0f\n",
-                 trainer_shard4, shard4_ratio_floor * 100, trainer_shard1);
+                 "FAIL: threads4 trainer rate %.0f steps/s below %.0f%% of "
+                 "same-run threads1 rate %.0f\n",
+                 trainer_threads4, threads4_ratio_floor * 100,
+                 trainer_threads1);
     return 1;
   }
 
@@ -800,11 +801,11 @@ int main(int argc, char** argv) {
       }
     };
     gate_trainer_rate("trainer_steps_per_sec", trainer_steps_per_sec);
-    gate_trainer_rate("trainer_steps_per_sec_shard1", trainer_shard1);
-    // shard4 is deliberately NOT gated against the committed absolute
+    gate_trainer_rate("trainer_steps_per_sec_threads1", trainer_threads1);
+    // threads4 is deliberately NOT gated against the committed absolute
     // value: its rate depends on how many cores the runner happens to
     // grant, which the reference machine does not predict. The
-    // --shard4_ratio_floor gate above compares it to the shard1 rate
+    // --threads4_ratio_floor gate above compares it to the threads1 rate
     // measured in the same run instead.
 
     // Allocation ceilings are near-exact: heap traffic per op does not

@@ -284,10 +284,6 @@ int main(int argc, char** argv) {
   flags.DefineDouble("budget_fraction", 0.4,
                      "budget as a fraction of the centralized-move cost");
   flags.DefineDouble("t_opt", 0, "RLCut time budget in seconds (0 = off)");
-  flags.DefineInt("shards", 0,
-                  "RLCut logical shard count — a checkpoint property: "
-                  "resuming requires the same value, any thread count "
-                  "(0 = default, see docs/sharding.md)");
   flags.DefineInt("theta", 0, "hybrid-cut threshold (0 = auto)");
   flags.DefineInt("seed", 1, "random seed");
   flags.DefineString("save_plan", "", "write the computed plan here");
@@ -630,7 +626,6 @@ int main(int argc, char** argv) {
     rl_options.t_opt_seconds = flags.GetDouble("t_opt");
     rl_options.budget = ctx.budget;
     rl_options.seed = ctx.seed;
-    rl_options.num_shards = static_cast<int>(flags.GetInt("shards"));
     rl_options.checkpoint_every_steps =
         static_cast<int>(flags.GetInt("checkpoint_every"));
     rl_options.checkpoint_path = flags.GetString("checkpoint_out");
@@ -674,7 +669,7 @@ int main(int argc, char** argv) {
     }
     session.stop_after_step = static_cast<int>(flags.GetInt("stop_after_step"));
 
-    // Process-split replica: mirror every shard-sync delta to a
+    // Process-split replica: mirror every replica-sync delta to a
     // rlcut_replica worker. Network failures degrade (training is never
     // perturbed); convergence is checked after the run.
     std::unique_ptr<net::ReplicaClient> replica_client;
@@ -760,7 +755,6 @@ int main(int argc, char** argv) {
   const std::string& method = flags.GetString("method");
   PartitionerOptions options;
   options.t_opt_seconds = flags.GetDouble("t_opt");
-  options.num_shards = static_cast<int>(flags.GetInt("shards"));
   Result<std::unique_ptr<Partitioner>> partitioner =
       MakePartitionerByName(method, options);
   if (!partitioner.ok()) return Fail(partitioner.status());

@@ -11,7 +11,7 @@
 // ((seed / 3) % 3; preset 2 adds an outage schedule) and the compute
 // model ((seed / 9) % 3), so any 27 consecutive seeds cover every
 // combination. Besides incremental-vs-cold, every move runs the
-// batch-vs-single, SoA-vs-legacy and (with AVX2) SIMD-vs-scalar lanes.
+// batch-vs-single and SoA-vs-legacy lanes.
 
 #include <deque>
 #include <sstream>
@@ -22,7 +22,6 @@
 #include "check/lane.h"
 #include "check/legacy_reference.h"
 #include "cloud/topology_schedule.h"
-#include "partition/simd.h"
 
 namespace rlcut {
 namespace check {
@@ -139,8 +138,7 @@ std::string DiffSnapshots(const Snapshot& a, const Snapshot& b) {
 void RunOracleCase(uint64_t seed, LaneReport* report) {
   for (const char* count :
        {"moves", "cold recomputes", "rollbacks", "topology updates",
-        "invariant checks", "batched evals", "legacy evals",
-        "simd lane checks"}) {
+        "invariant checks", "batched evals", "legacy evals"}) {
     report->Add(count, 0);
   }
   const int graph_kind = static_cast<int>(seed % 3);
@@ -207,7 +205,6 @@ void RunOracleCase(uint64_t seed, LaneReport* report) {
   EvalScratch scratch;
   EvalScratch batch_scratch;
   std::vector<Objective> batched(kDcs);
-  std::vector<Objective> batched_scalar(kDcs);
 
   auto fail = [&](int move, const std::string& what) {
     std::ostringstream out;
@@ -225,24 +222,6 @@ void RunOracleCase(uint64_t seed, LaneReport* report) {
     if (!SameObjective(live, legacy)) {
       fail(move, std::string(where) + ": SoA vs legacy AoS objective:" +
                      DiffObjective(live, legacy));
-    }
-  };
-
-  // Scalar-vs-SIMD lane: re-run a batched evaluation with the
-  // vectorized finalize forced off; the elementwise lane kernels are
-  // exact IEEE operations, so the results must match bit-for-bit.
-  auto simd_check = [&](int move, const char* what, auto&& eval) {
-    if (!simd::Avx2Enabled()) return;
-    simd::SetForceScalar(true);
-    eval(batched_scalar.data());
-    simd::SetForceScalar(false);
-    report->Add("simd lane checks", 1);
-    for (DcId r = 0; r < kDcs; ++r) {
-      if (!SameObjective(batched[r], batched_scalar[r])) {
-        fail(move, std::string(what) + "[" + std::to_string(r) +
-                       "] scalar vs AVX2:" +
-                       DiffObjective(batched_scalar[r], batched[r]));
-      }
     }
   };
 
@@ -299,9 +278,6 @@ void RunOracleCase(uint64_t seed, LaneReport* report) {
       // batched path regroups only exact dyadic additions).
       state.EvaluateMoveAll(v, &batch_scratch, batched.data());
       report->Add("batched evals", 1);
-      simd_check(move, "EvaluateMoveAll", [&](Objective* out) {
-        state.EvaluateMoveAll(v, &batch_scratch, out);
-      });
       for (DcId r = 0; r < kDcs; ++r) {
         const Objective single = state.EvaluateMove(v, r, &scratch);
         if (!SameObjective(batched[r], single)) {
@@ -348,9 +324,6 @@ void RunOracleCase(uint64_t seed, LaneReport* report) {
         // Batch-vs-single lane for explicit placement.
         state.EvaluatePlaceEdgeAll(e, &batch_scratch, batched.data());
         report->Add("batched evals", 1);
-        simd_check(move, "EvaluatePlaceEdgeAll", [&](Objective* out) {
-          state.EvaluatePlaceEdgeAll(e, &batch_scratch, out);
-        });
         for (DcId r = 0; r < kDcs; ++r) {
           const Objective single = state.EvaluatePlaceEdge(e, r, &scratch);
           if (!SameObjective(batched[r], single)) {

@@ -50,7 +50,6 @@ net::ReplicaClientOptions ClientOptions(uint64_t seed) {
   net::ReplicaClientOptions copts;
   copts.dial_timeout_ms = 200;
   copts.recv_timeout_ms = 100;
-  copts.heartbeat_every_pushes = 4;  // Exercise the liveness path often.
   copts.retry.max_attempts = 5;
   copts.retry.initial_backoff_ms = 1;
   copts.retry.max_backoff_ms = 8;

@@ -411,27 +411,9 @@ Status ReplicaClient::PushDelta(const PlanDelta& delta) {
     server_synced_ = true;
     return Status::Ok();
   }();
-  if (!shipped.ok()) {
-    EnterDegraded(shipped);
-    return Status::Ok();
-  }
-
-  if (options_.heartbeat_every_pushes > 0 &&
-      ++pushes_since_heartbeat_ >=
-          static_cast<uint64_t>(options_.heartbeat_every_pushes)) {
-    pushes_since_heartbeat_ = 0;
-    obs::DefaultRegistry().GetCounter("net.client.heartbeats")->Increment();
-    Frame ping;
-    ping.type = FrameType::kPing;
-    Frame pong;
-    Status alive = RoundTrip(ping, &pong);
-    if (alive.ok() && pong.type != FrameType::kPong) {
-      alive = Status::Internal("expected pong, got frame type " +
-                               std::to_string(
-                                   static_cast<int>(pong.type)));
-    }
-    if (!alive.ok()) EnterDegraded(alive);
-  }
+  // Every push is a Delta -> Ack round trip on the connection, so a
+  // dead link surfaces at the next push; no separate liveness probe.
+  if (!shipped.ok()) EnterDegraded(shipped);
   return Status::Ok();
 }
 

@@ -114,11 +114,9 @@ struct ReplicaClientOptions {
   RetryPolicy retry;
   int dial_timeout_ms = 2000;
   int recv_timeout_ms = 2000;
-  /// Send a Ping liveness probe every N in-sync pushes; 0 disables.
-  int heartbeat_every_pushes = 16;
 };
 
-/// The trainer-side half of the link: a ReplicaSink that mirrors every
+/// The owner-side half of the link: a ReplicaSink that mirrors every
 /// pushed delta into a local PlanReplica (so it always holds the full
 /// intended state) and ships it to a remote ReplicaServer.
 ///
@@ -139,7 +137,8 @@ struct ReplicaClientOptions {
 ///    closed on.
 ///
 /// Single-caller: one thread drives Begin/PushDelta/Flush (the
-/// trainer's sync cadence); degraded() may be read from anywhere.
+/// trainer's or the session's cadence); degraded() may be read from
+/// anywhere.
 class ReplicaClient : public ReplicaSink {
  public:
   using Connector = std::function<Result<std::unique_ptr<Transport>>()>;
@@ -175,7 +174,7 @@ class ReplicaClient : public ReplicaSink {
   /// Drives the server to the mirror's exact state (snapshot resync if
   /// needed) and verifies the fingerprint. One attempt; no retries.
   Status SyncFully();
-  /// Sends one frame and waits for its Ack/Nack/Pong response.
+  /// Sends one frame and waits for its response.
   Status RoundTrip(const Frame& request, Frame* response);
   void EnterDegraded(const Status& cause);
 
@@ -192,7 +191,6 @@ class ReplicaClient : public ReplicaSink {
 
   std::atomic<bool> degraded_{false};
   std::atomic<bool> ever_degraded_{false};
-  uint64_t pushes_since_heartbeat_ = 0;
   uint64_t resyncs_ = 0;
   uint64_t reconnects_ = 0;
   uint64_t op_id_ = 0;

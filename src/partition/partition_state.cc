@@ -5,12 +5,7 @@
 #include <cmath>
 #include <cstring>
 
-#if defined(__x86_64__) || defined(__i386__)
-#include <immintrin.h>
-#endif
-
 #include "common/logging.h"
-#include "partition/simd.h"
 
 namespace rlcut {
 namespace {
@@ -29,77 +24,19 @@ inline void ForEachDc(uint64_t mask, Fn&& fn) {
   }
 }
 
-// Order-insensitive elementwise stage of the objective finalize: per-DC
-// stage times g/a (Eq. 2-3 link bottlenecks via cached reciprocals),
-// their sum s for the smooth surrogate and the per-DC upload dollars c
-// (Eq. 5). Deliberately elementwise — multiplies, adds and maxes on
-// independent lanes are exact IEEE operations, so the scalar and AVX2
-// variants below produce bit-identical lanes, and the order-sensitive
-// reductions run once, in scalar DC order, in AccumulateLanes.
-inline void FinalizeLanesScalar(const double* gu, const double* gd,
-                                const double* au, const double* ad,
-                                const double* iu, const double* id,
-                                const double* pp, int m, double* g,
-                                double* a, double* s, double* c) {
-  for (int r = 0; r < m; ++r) {
-    const double gdt = gd[r] * id[r];
-    const double gut = gu[r] * iu[r];
-    const double aut = au[r] * iu[r];
-    const double adt = ad[r] * id[r];
-    const double gr = std::max(gdt, gut);
-    const double ar = std::max(aut, adt);
-    const double up = gu[r] + au[r];
-    g[r] = gr;
-    a[r] = ar;
-    s[r] = gr + ar;
-    c[r] = pp[r] * up;
-  }
+// One DC's lane of the objective finalize: its stage times g/a (Eq. 2-3
+// link bottlenecks via cached reciprocals), their sum s for the smooth
+// surrogate and its upload dollars c (Eq. 5). Lanes are independent;
+// the order-sensitive reductions across DCs run once, in DC order, in
+// AccumulateLanes.
+inline void FinalizeLane(double gu, double gd, double au, double ad,
+                         double iu, double id, double pp, double* g,
+                         double* a, double* s, double* c) {
+  *g = std::max(gd * id, gu * iu);
+  *a = std::max(au * iu, ad * id);
+  *s = *g + *a;
+  *c = pp * (gu + au);
 }
-
-#if defined(__x86_64__) || defined(__i386__)
-__attribute__((target("avx2"))) void FinalizeLanesAvx2(
-    const double* gu, const double* gd, const double* au, const double* ad,
-    const double* iu, const double* id, const double* pp, int m, double* g,
-    double* a, double* s, double* c) {
-  int r = 0;
-  for (; r + 4 <= m; r += 4) {
-    const __m256d vgu = _mm256_loadu_pd(gu + r);
-    const __m256d vgd = _mm256_loadu_pd(gd + r);
-    const __m256d vau = _mm256_loadu_pd(au + r);
-    const __m256d vad = _mm256_loadu_pd(ad + r);
-    const __m256d viu = _mm256_loadu_pd(iu + r);
-    const __m256d vid = _mm256_loadu_pd(id + r);
-    const __m256d gdt = _mm256_mul_pd(vgd, vid);
-    const __m256d gut = _mm256_mul_pd(vgu, viu);
-    const __m256d aut = _mm256_mul_pd(vau, viu);
-    const __m256d adt = _mm256_mul_pd(vad, vid);
-    // max_pd and std::max pick different operands on exact ties, but
-    // the lanes are non-negative products (never -0.0), so the chosen
-    // bits are identical either way.
-    const __m256d vg = _mm256_max_pd(gdt, gut);
-    const __m256d va = _mm256_max_pd(aut, adt);
-    const __m256d up = _mm256_add_pd(vgu, vau);
-    const __m256d vc = _mm256_mul_pd(_mm256_loadu_pd(pp + r), up);
-    _mm256_storeu_pd(g + r, vg);
-    _mm256_storeu_pd(a + r, va);
-    _mm256_storeu_pd(s + r, _mm256_add_pd(vg, va));
-    _mm256_storeu_pd(c + r, vc);
-  }
-  for (; r < m; ++r) {
-    const double gdt = gd[r] * id[r];
-    const double gut = gu[r] * iu[r];
-    const double aut = au[r] * iu[r];
-    const double adt = ad[r] * id[r];
-    const double gr = std::max(gdt, gut);
-    const double ar = std::max(aut, adt);
-    const double up = gu[r] + au[r];
-    g[r] = gr;
-    a[r] = ar;
-    s[r] = gr + ar;
-    c[r] = pp[r] * up;
-  }
-}
-#endif  // x86
 
 struct FinalizeAccum {
   double t_gather = 0;
@@ -108,8 +45,7 @@ struct FinalizeAccum {
   double cost = 0;
 };
 
-// The order-sensitive reductions of the finalize, always scalar and in
-// DC order so every dispatch path reduces identically.
+// The order-sensitive reductions of the finalize, in DC order.
 inline FinalizeAccum AccumulateLanes(const double* g, const double* a,
                                      const double* s, const double* c,
                                      int m) {
@@ -128,13 +64,10 @@ inline void FinalizeLanes(const double* gu, const double* gd,
                           const double* iu, const double* id,
                           const double* pp, int m, double* g, double* a,
                           double* s, double* c) {
-#if defined(__x86_64__) || defined(__i386__)
-  if (simd::Avx2Enabled()) {
-    FinalizeLanesAvx2(gu, gd, au, ad, iu, id, pp, m, g, a, s, c);
-    return;
+  for (int r = 0; r < m; ++r) {
+    FinalizeLane(gu[r], gd[r], au[r], ad[r], iu[r], id[r], pp[r], &g[r],
+                 &a[r], &s[r], &c[r]);
   }
-#endif
-  FinalizeLanesScalar(gu, gd, au, ad, iu, id, pp, m, g, a, s, c);
 }
 
 }  // namespace
@@ -1001,20 +934,11 @@ void PartitionState::EvaluateDeltasAll(EvalScratch* scratch,
       dgd[n.m] += n.g;
       dgu[to] += n.g;
     }
-    // Recompute the lanes of the dirty DCs (same elementwise ops as
-    // FinalizeLanesScalar), then accumulate selecting dirty lanes.
+    // Recompute the lanes of the dirty DCs, then accumulate selecting
+    // dirty lanes.
     ForEachDc(dirty_mask, [&](DcId r) {
-      const double gdt = dgd[r] * id[r];
-      const double gut = dgu[r] * iu[r];
-      const double aut = dau[r] * iu[r];
-      const double adt = dad[r] * id[r];
-      const double gr = std::max(gdt, gut);
-      const double ar = std::max(aut, adt);
-      const double up = dgu[r] + dau[r];
-      dl_g[r] = gr;
-      dl_a[r] = ar;
-      dl_s[r] = gr + ar;
-      dl_c[r] = pp[r] * up;
+      FinalizeLane(dgu[r], dgd[r], dau[r], dad[r], iu[r], id[r], pp[r],
+                   &dl_g[r], &dl_a[r], &dl_s[r], &dl_c[r]);
     });
     double t_gather = 0;
     double t_apply = 0;

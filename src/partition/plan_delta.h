@@ -58,14 +58,11 @@ Status DecodePlanSnapshot(const std::string& bytes, PlanSnapshot* out);
 uint64_t MastersFingerprint(const std::vector<DcId>& masters);
 
 /// A versioned copy of the masters array, kept in sync by applying
-/// PlanDeltas in version order. This is the trainer's audit mirror
-/// (docs/distributed.md): the trainer applies every sync interval's
-/// committed moves to one replica, checks after the last sync that it
-/// agrees with the authoritative PartitionState bit for bit, and hands
-/// exactly those deltas to an attached ReplicaSink.
-/// Scoring reads the PartitionState, never this replica. In the process
-/// split (src/net, docs/distributed.md) the same class backs the
-/// client's mirror and the server's copy on the far side of the RPC.
+/// PlanDeltas in version order. It holds a plan on the far side of a
+/// ReplicaSink: in the process split (src/net, docs/distributed.md) it
+/// backs the client's mirror and the server's copy on the far side of
+/// the RPC. The owner of the plan (a trainer or a session) keeps no
+/// replica of its own.
 ///
 /// Apply costs O(|delta|): moves apply in place and the fingerprint is
 /// updated per move rather than recomputed.
@@ -104,21 +101,23 @@ class PlanReplica {
   uint64_t fingerprint_ = MastersFingerprint({});
 };
 
-/// Where a trainer publishes its committed plan state, one delta per
-/// sync interval. The trainer's decisions never depend on the sink —
-/// it is write-only — so a sink may lag, buffer, or drop to a degraded
-/// mode without perturbing the training trajectory.
+/// Where the owner of a plan ships it: an RLCutTrainer (its committed
+/// moves, one delta every few batches) or a PartitioningSession (each
+/// published plan as one delta). The owner's decisions never depend on
+/// the sink — it is write-only — so a sink may lag, buffer, or drop to
+/// a degraded mode without perturbing what the owner computes.
 ///
 /// Contract: Begin() hands over the starting snapshot before any
-/// deltas; PushDelta() receives exactly the deltas the trainer applied
-/// to its own audit replica, in order; Flush() must either drive the
-/// far side to the pushed state (return OK) or report why it could not
-/// (non-OK) — the fail-closed signal call sites act on. degraded()
-/// reports whether the sink is currently operating in a lossy/stale
-/// mode; implementations also surface it through src/obs metrics.
+/// deltas; each PushDelta() carries the moves since the previous one,
+/// in order, with base_version equal to version(); Flush() must either
+/// drive the far side to the pushed state (return OK) or report why it
+/// could not (non-OK) — the fail-closed signal call sites act on.
+/// degraded() reports whether the sink is currently operating in a
+/// lossy/stale mode; implementations also surface it through src/obs
+/// metrics.
 ///
-/// The in-process audit replica needs no sink; the concrete network
-/// implementation is net::ReplicaClient (docs/distributed.md).
+/// The concrete network implementation is net::ReplicaClient
+/// (docs/distributed.md).
 class ReplicaSink {
  public:
   virtual ~ReplicaSink() = default;

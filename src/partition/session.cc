@@ -282,7 +282,6 @@ Result<ReoptimizeResult> PartitioningSession::MaybeReoptimize(
   Adapt(std::move(eligible), first_pass);
   const BudgetClampResult clamp = EnforceMigrationBudget(
       state_.get(), last_published_masters_, input_sizes_, budget);
-  AfterClamp();
   reoptimized_once_ = true;
   result.reoptimized = true;
   result.reverted_vertices = clamp.reverted;
@@ -312,12 +311,45 @@ Result<PublishedPlan> PartitioningSession::PublishPlan() {
                                  input_sizes_, topology_);
   plan.objective = state_->CurrentObjective();
   plan.version = ++version_;
+  if (replica_sink_ != nullptr) {
+    PlanDelta delta;
+    delta.base_version = replica_sink_->version();
+    for (VertexId v = 0; v < num_vertices_; ++v) {
+      if (plan.masters[v] != last_published_masters_[v]) {
+        delta.moves.push_back(
+            PlanMove{v, last_published_masters_[v], plan.masters[v]});
+      }
+    }
+    FlushReplica(replica_sink_->PushDelta(delta));
+  }
   last_published_masters_ = plan.masters;
   obs::MetricsRegistry& registry = obs::DefaultRegistry();
   registry.GetCounter("serve.publishes")->Increment();
   registry.GetGauge("serve.plan_version")
       ->Set(static_cast<double>(version_));
   return plan;
+}
+
+void PartitioningSession::SetReplicaSink(ReplicaSink* sink) {
+  replica_sink_ = sink;
+  replica_status_ = Status::Ok();
+  replica_degraded_ = false;
+  if (sink == nullptr) return;
+  FlushReplica(sink->Begin(
+      PlanSnapshot{version_, topology_.num_dcs(), last_published_masters_}));
+}
+
+void PartitioningSession::FlushReplica(const Status& handed_over) {
+  if (!handed_over.ok()) {
+    // The sink refused the plan itself, not the network: the version
+    // chain is broken, so stop feeding it and fail closed.
+    replica_status_ = handed_over;
+    replica_sink_ = nullptr;
+    return;
+  }
+  replica_degraded_ = replica_degraded_ || replica_sink_->degraded();
+  replica_status_ = replica_sink_->Flush();
+  replica_degraded_ = replica_degraded_ || replica_sink_->degraded();
 }
 
 BudgetClampResult EnforceMigrationBudget(

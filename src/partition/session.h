@@ -14,6 +14,7 @@
 #include "graph/stream.h"
 #include "partition/migration.h"
 #include "partition/partition_state.h"
+#include "partition/plan_delta.h"
 #include "partition/workload.h"
 
 namespace rlcut {
@@ -130,6 +131,9 @@ struct PublishedPlan {
 /// the method to place. Each re-derive is traced as a `session/rebuild`
 /// span inside its reader and counted in `serve.state_rebuilds`.
 ///
+/// A session replicates what it deploys: an attached ReplicaSink holds
+/// the last published plan, version for version (SetReplicaSink).
+///
 /// Error handling: every method returns Result<>/Status; malformed
 /// input (out-of-range endpoints, non-monotone watermarks, calls out of
 /// order) yields InvalidArgument/OutOfRange/FailedPrecondition, never a
@@ -173,10 +177,32 @@ class PartitioningSession {
   /// Snapshots the live plan as a new published version. The migration
   /// delta vs the previous published version respects the budget of the
   /// last MaybeReoptimize on every publish (a publish-time re-clamp
-  /// guarantees it even if input sizes shifted since). FailedPrecondition
-  /// before the first successful MaybeReoptimize. Fault site:
-  /// session.publish_fail.
+  /// guarantees it even if input sizes shifted since). An attached
+  /// replica sink receives the moved set as one delta and is flushed.
+  /// FailedPrecondition before the first successful MaybeReoptimize.
+  /// Fault site: session.publish_fail.
   Result<PublishedPlan> PublishPlan();
+
+  /// Attaches a replica sink (docs/distributed.md): it is begun at once
+  /// with the last published plan, {version(), num_dcs,
+  /// last_published_masters()} (version 0 is the initial plan), and
+  /// flushed; every PublishPlan then pushes the new version's moved set
+  /// as one delta, chained on sink->version(), and flushes. So the far
+  /// side's version and masters equal the last PublishedPlan. A sink
+  /// whose Begin or PushDelta fails is no longer fed; a failed Flush is
+  /// retried at the next publish. Not owned; must outlive the session
+  /// or be detached with nullptr. Runtime wiring, not checkpointed: a
+  /// restored session is re-attached and begins the sink at its
+  /// restored published version.
+  void SetReplicaSink(ReplicaSink* sink);
+
+  /// Outcome of the sink's latest begin or publish: OK when its Flush
+  /// confirmed the far side holds the last published plan, and when no
+  /// sink is attached.
+  const Status& replica_status() const { return replica_status_; }
+
+  /// True if the sink reported degraded operation since it was attached.
+  bool replica_degraded() const { return replica_degraded_; }
 
   /// The live state over every applied edge, re-derived first if
   /// changes are pending. Before the first re-optimization it holds the
@@ -212,9 +238,6 @@ class PartitioningSession {
   /// afterwards the vertices marked since the last pass: endpoints of
   /// applied and removed edges, plus any a subclass marked.
   virtual void Adapt(std::vector<VertexId> eligible, bool first_pass) = 0;
-
-  /// Runs right after MaybeReoptimize clamped the adapted plan.
-  virtual void AfterClamp() {}
 
   /// Re-derives the live graph, input sizes and state once, in place,
   /// when changes were applied since the last re-derive. Const so that
@@ -262,6 +285,15 @@ class PartitioningSession {
   // Marks `endpoints` for the next pass and the live state stale;
   // returns how many distinct vertices they name.
   uint64_t MarkChanged(std::vector<VertexId> endpoints);
+
+  // Records a Begin or PushDelta outcome and, if the sink took the plan,
+  // flushes it. A sink that refused the plan is no longer fed.
+  void FlushReplica(const Status& handed_over);
+
+  // Replication runtime wiring (not part of a checkpoint).
+  ReplicaSink* replica_sink_ = nullptr;
+  Status replica_status_;
+  bool replica_degraded_ = false;
 };
 
 /// What EnforceMigrationBudget did to the plan.

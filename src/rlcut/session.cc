@@ -44,32 +44,7 @@ void RLCutSession::Adapt(std::vector<VertexId> eligible, bool first_pass) {
     trainer_ = std::make_unique<RLCutTrainer>(options_.incremental);
   }
   RLCutTrainer& trainer = first_pass ? *initial : *trainer_;
-  trainer.SetReplicaSink(replica_sink_);
-  const TrainResult trained =
-      trainer.Train(state_.get(), std::move(eligible), pool_.get());
-  if (replica_sink_ != nullptr) {
-    replica_status_ = trained.replica_status;
-    replica_degraded_ = replica_degraded_ || trained.replica_degraded;
-    pre_clamp_masters_ = state_->masters();
-  }
-}
-
-void RLCutSession::AfterClamp() {
-  if (replica_sink_ == nullptr || !replica_status_.ok()) return;
-  PlanDelta correction;
-  correction.base_version = replica_sink_->version();
-  const std::vector<DcId>& post_clamp = state_->masters();
-  for (size_t v = 0; v < post_clamp.size(); ++v) {
-    if (pre_clamp_masters_[v] != post_clamp[v]) {
-      correction.moves.push_back(PlanMove{static_cast<VertexId>(v),
-                                          pre_clamp_masters_[v],
-                                          post_clamp[v]});
-    }
-  }
-  if (correction.moves.empty()) return;
-  replica_status_ = replica_sink_->PushDelta(correction);
-  if (replica_status_.ok()) replica_status_ = replica_sink_->Flush();
-  replica_degraded_ = replica_degraded_ || replica_sink_->degraded();
+  trainer.Train(state_.get(), std::move(eligible), pool_.get());
 }
 
 Result<TopologyUpdateResult> RLCutSession::UpdateTopology(

@@ -12,7 +12,6 @@
 #include "common/sim_time.h"
 #include "common/status.h"
 #include "partition/partition_state.h"
-#include "partition/plan_delta.h"
 #include "partition/session.h"
 #include "rlcut/automaton.h"
 #include "rlcut/options.h"
@@ -90,28 +89,10 @@ class RLCutSession : public PartitioningSession {
   static Result<std::unique_ptr<RLCutSession>> Restore(
       const std::string& path, RLCutSessionOptions options);
 
-  // ---- Process-split replica sync (docs/distributed.md) ---------------
-
-  /// Attaches an external replica sink: every re-optimization pass
-  /// feeds it the trainer's deltas, then a post-clamp correction delta,
-  /// so the far side tracks the publishable plan. Not owned; must
-  /// outlive the session (or be detached with nullptr).
-  void SetReplicaSink(ReplicaSink* sink) { replica_sink_ = sink; }
-
-  /// Outcome of the latest pass's replica flush (OK when no sink).
-  const Status& replica_status() const { return replica_status_; }
-
-  /// True if the sink ever reported degraded operation this session.
-  bool replica_degraded() const { return replica_degraded_; }
-
  protected:
   /// The trainer pass over `eligible`: the initial options on the first
   /// pass, the incremental ones afterwards.
   void Adapt(std::vector<VertexId> eligible, bool first_pass) override;
-
-  /// Ships the moves the budget clamp reverted to the replica sink as
-  /// one correction delta.
-  void AfterClamp() override;
 
  private:
   RLCutSession(const PartitionerContext& ctx, RLCutSessionOptions options);
@@ -128,17 +109,9 @@ class RLCutSession : public PartitioningSession {
 
   RLCutSessionOptions options_;
   std::unique_ptr<AutomatonPool> pool_;
-  // Trains every pass after the first (runtime wiring, like the sink).
+  // Trains every pass after the first (runtime wiring, not part of the
+  // checkpoint).
   std::unique_ptr<RLCutTrainer> trainer_;
-
-  // Process-split replica sync (not part of the checkpoint: runtime
-  // wiring, like thread count).
-  ReplicaSink* replica_sink_ = nullptr;
-  Status replica_status_;
-  bool replica_degraded_ = false;
-  // The trainer's final masters, which the sink mirrors, before the
-  // budget clamp of the current pass (only kept while a sink is set).
-  std::vector<DcId> pre_clamp_masters_;
 };
 
 }  // namespace rlcut

@@ -19,9 +19,9 @@
 namespace rlcut {
 namespace {
 
-// Batches between two delta syncs of the audit replica and the attached
-// sink (docs/distributed.md). Larger values batch more moves per sync
-// message; the committed trajectory is unaffected.
+// Batches between two deltas pushed to an attached replica sink
+// (docs/distributed.md). Larger values batch more moves per push; the
+// committed trajectory is unaffected.
 constexpr int kSyncEveryBatches = 4;
 
 // Scoring chunks per team member: more than one, so that a member whose
@@ -156,7 +156,7 @@ struct TrainLoop {
   bool ScoreChunk(size_t c, EvalScratch* es, SlotScores* out) const;
   void Commit(int step);
   void Migrate(StepStats* stats);
-  void SyncReplica();
+  void PushToSink();
   bool EndStep(int step, const WallTimer& step_timer, StepStats* stats);
   void Autosave(int step);
   void WriteCursor(TrainerSession* out) const;
@@ -172,8 +172,7 @@ struct TrainLoop {
   TrainResult result;
   WallTimer total_timer;
   // Set once Start prepared a run. The early exits (nothing to train, a
-  // finished session) skip the residual sync, the replica audit and
-  // the session cursor.
+  // finished session) skip the residual push and the session cursor.
   bool started = false;
   // First step the next Train call on this session would run: pauses
   // and pre-step exits leave it at the unexecuted step, end-of-step
@@ -221,19 +220,14 @@ struct TrainLoop {
   std::vector<std::atomic<uint8_t>> scored_by;
   std::atomic<bool> cancel{false};
 
-  // The audit replica. Scoring reads the authoritative PartitionState;
-  // this versioned replica only receives the committed moves as one
-  // delta every kSyncEveryBatches batches, sources the delta stream an
-  // attached sink ships, and is checked against the PartitionState
-  // after the last sync. Apply is O(|delta|), so a sync costs its
-  // moves, not a pass over |V|.
-  PlanReplica replica;
+  // The replica sink, if attached: it receives the starting snapshot,
+  // then the committed moves as one delta every kSyncEveryBatches
+  // batches, each chained on the sink's own version. Moves are buffered
+  // only while a sink is attached. It is write-only: a slow, degraded,
+  // or failed sink never changes what the trainer does, only what
+  // TrainResult::replica_status reports.
   PlanDelta sync_delta;
   int batches_since_sync = 0;
-  // The external sink (if attached) receives the starting snapshot and
-  // then exactly the deltas the audit replica applies, in order. It is
-  // write-only: a slow, degraded, or failed sink never changes what the
-  // trainer does, only what TrainResult::replica_status reports.
   ReplicaSink* sink;
   Status sink_status;
   bool sink_degraded = false;
@@ -242,9 +236,6 @@ struct TrainLoop {
   obs::Counter* const total_visits = TrainerCounter("trainer.agent_visits");
   obs::Counter* const total_migrations = TrainerCounter("trainer.migrations");
   obs::Counter* const total_rollbacks = TrainerCounter("trainer.rollbacks");
-  obs::Counter* const replica_syncs = TrainerCounter("trainer.replica_syncs");
-  obs::Counter* const replica_sync_moves =
-      TrainerCounter("trainer.replica_sync_moves");
   obs::Counter* const chunk_inline_runs =
       TrainerCounter("trainer.chunk_inline_runs");
   obs::Counter* const masked_pool_errors =
@@ -319,8 +310,6 @@ bool TrainLoop::Start(AutomatonPool* pool) {
         << "a kProbability session resumes from exactly one PRNG stream";
     rng.SetState(session->rng_states.front());
   }
-
-  replica = PlanReplica(state->masters(), num_dcs);
 
   // Telemetry of steps completed before this call (resumed sessions):
   // the Eq. 14 sampler reads the full history, and TrainResult::steps
@@ -431,11 +420,13 @@ void TrainLoop::RunBatch(int step, StepStats* stats) {
   batch_objective = state->CurrentObjective();
   Score();
   Commit(step);
-  // The migrate span stays open across the delta sync that ends a
-  // batch, so it encloses the sink's push.
+  // The migrate span stays open across the push that ends every
+  // kSyncEveryBatches-th batch, so it encloses the sink's round trip.
   obs::TraceSpan migrate_span("trainer/stage/migrate", "trainer");
   Migrate(stats);
-  if (++batches_since_sync >= kSyncEveryBatches) SyncReplica();
+  if (sink != nullptr && ++batches_since_sync >= kSyncEveryBatches) {
+    PushToSink();
+  }
 }
 
 // Splits the batch's slots into contiguous chunks for the team. With
@@ -617,9 +608,10 @@ void TrainLoop::Migrate(StepStats* stats) {
                        options.budget) < 0) {
       ++stats->rollbacks;
     } else {
-      // Committed moves double as the owner's published delta, applied
-      // to the audit replica at the next sync.
-      sync_delta.moves.push_back(PlanMove{v, from, action});
+      // An attached sink receives the committed move at the next push.
+      if (sink != nullptr) {
+        sync_delta.moves.push_back(PlanMove{v, from, action});
+      }
       state->MoveMaster(v, action);
       ++stats->migrations;
     }
@@ -629,26 +621,19 @@ void TrainLoop::Migrate(StepStats* stats) {
   }
 }
 
-// Applies the pending delta to the audit replica and hands it to the
-// sink (docs/distributed.md).
-void TrainLoop::SyncReplica() {
-  sync_delta.base_version = replica.version();
-  const Status synced = replica.Apply(sync_delta);
-  RLCUT_CHECK(synced.ok())
-      << "replica delta-sync rejected: " << synced.ToString();
-  replica_syncs->Increment();
-  replica_sync_moves->Increment(sync_delta.moves.size());
-  if (sink != nullptr) {
-    const Status pushed = sink->PushDelta(sync_delta);
-    if (!pushed.ok()) {
-      // A push the sink's own mirror rejects is unrecoverable (the
-      // network path degrades instead of erroring); stop feeding it and
-      // surface the failure through the result.
-      if (sink_status.ok()) sink_status = pushed;
-      sink = nullptr;
-    } else {
-      sink_degraded = sink_degraded || sink->degraded();
-    }
+// Hands the pending delta to the sink, chained on the sink's version
+// (docs/distributed.md).
+void TrainLoop::PushToSink() {
+  sync_delta.base_version = sink->version();
+  const Status pushed = sink->PushDelta(sync_delta);
+  if (!pushed.ok()) {
+    // A push the sink's own mirror rejects is unrecoverable (the network
+    // path degrades instead of erroring); stop feeding it and surface
+    // the failure through the result.
+    if (sink_status.ok()) sink_status = pushed;
+    sink = nullptr;
+  } else {
+    sink_degraded = sink_degraded || sink->degraded();
   }
   sync_delta.moves.clear();
   batches_since_sync = 0;
@@ -739,20 +724,11 @@ void TrainLoop::WriteCursor(TrainerSession* out) const {
   out->rng_states.assign(1, rng.State());
 }
 
-// Every exit of Train ends here: the residual sync and the replica
-// audit, the sink's flush, and the session cursor.
+// Every exit of Train ends here: the residual push, the sink's flush,
+// and the session cursor.
 TrainResult TrainLoop::Finish() {
   fault::SetStepContext(-1);
-  if (started) {
-    // Flush the residual delta and audit the protocol: after the final
-    // sync the delta-built replica must agree with the authoritative
-    // plan bit for bit.
-    if (!sync_delta.moves.empty()) SyncReplica();
-    RLCUT_CHECK(replica.masters() == state->masters())
-        << "delta-synced plan replica diverged from the partition state "
-           "after "
-        << replica.version() << " syncs";
-  }
+  if (sink != nullptr && !sync_delta.moves.empty()) PushToSink();
   if (sink != nullptr) {
     // The fail-closed barrier: the sink must confirm the far side holds
     // the final plan, or report why it cannot.

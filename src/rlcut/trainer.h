@@ -168,12 +168,13 @@ class RLCutTrainer {
   size_t num_threads() const { return num_threads_; }
   const RLCutOptions& options() const { return options_; }
 
-  /// Attaches an external replica sink: Train feeds it the starting
-  /// snapshot and then every delta the in-process audit replica
-  /// applies, at the same cadence. The sink is write-only — training
-  /// decisions never read it — so a lagging or degraded sink cannot
-  /// perturb the trajectory. Not owned; must outlive Train. nullptr
-  /// detaches.
+  /// Attaches a replica sink: Train begins it with the starting plan at
+  /// version 0, pushes the committed moves as one delta every few
+  /// batches, each chained on sink->version(), and flushes it on every
+  /// exit. The sink is write-only — training decisions never read it —
+  /// so a lagging or degraded sink cannot perturb the trajectory.
+  /// Without a sink no move is buffered. Not owned; must outlive Train.
+  /// nullptr detaches.
   void SetReplicaSink(ReplicaSink* sink) { replica_sink_ = sink; }
 
  private:

@@ -59,8 +59,7 @@ TEST(DifferentialOracleTest, AllPresetsAndModelsAgreeBitExactly) {
 TEST(DifferentialOracleTest, SoaVsLegacyLaneCoversAThousandMoves) {
   // The SoA bookkeeping rewrite's dedicated lane: >= 1k randomized
   // moves, each committed state compared bit-exactly against the legacy
-  // array-of-structs reference evaluator (plus the scalar-vs-SIMD lane
-  // on every batched evaluation when the host has AVX2).
+  // array-of-structs reference evaluator.
   const LaneReport report = RunOracle(33, 32);
   for (const std::string& f : report.failures) ADD_FAILURE() << f;
   EXPECT_GE(report.Count("moves"), 1000u);

@@ -1,7 +1,8 @@
 // PartitioningSession lifecycle: open -> apply -> reoptimize ->
 // publish, exact migration-budget enforcement, checkpoint/resume
-// continuation, and the unified Result<>/Status error paths, which every
-// session kind shares (SessionContractTest).
+// continuation, replication of the published plans, and the unified
+// Result<>/Status error paths, which every session kind shares
+// (SessionContractTest).
 
 #include "partition/session.h"
 
@@ -18,12 +19,14 @@
 #include "baselines/spinner.h"
 #include "cloud/topology.h"
 #include "fault/fault.h"
+#include "graph/generators.h"
 #include "graph/geo.h"
 #include "graph/stream.h"
 #include "graph/temporal.h"
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
 #include "partition/migration.h"
+#include "partition/plan_delta.h"
 #include "rlcut/session.h"
 
 namespace rlcut {
@@ -33,6 +36,25 @@ constexpr VertexId kVertices = 96;
 constexpr uint64_t kEdges = 480;
 constexpr uint64_t kBaseEdges = 240;
 constexpr int kDcs = 4;
+
+// Replays what a session ships onto a PlanReplica, as
+// net::ReplicaClient's mirror does.
+class ReplayingSink : public ReplicaSink {
+ public:
+  Status Begin(const PlanSnapshot& snapshot) override {
+    ++begins;
+    return replica.InstallSnapshot(snapshot);
+  }
+  Status PushDelta(const PlanDelta& delta) override {
+    return replica.Apply(delta);
+  }
+  Status Flush() override { return Status::Ok(); }
+  bool degraded() const override { return false; }
+  uint64_t version() const override { return replica.version(); }
+
+  int begins = 0;
+  PlanReplica replica;
+};
 
 // Shared streaming problem: a diurnal temporal stream whose prefix is
 // the batch problem and whose suffix arrives as micro-batches.
@@ -325,6 +347,42 @@ TEST_F(SessionTest, CheckpointResumeContinuesBitIdentically) {
   EXPECT_EQ(live.version(), (*restored)->version());
 }
 
+TEST_F(SessionTest, RestoredSessionBeginsTheSinkAtItsPublishedVersion) {
+  const std::string path =
+      ::testing::TempDir() + "/session_replica.ckpt";
+  std::remove(path.c_str());
+  std::remove((path + ".prev").c_str());
+  const auto batches = SuffixBatches(2);
+
+  auto opened = RLCutSession::Open(ctx_, SessionOpts());
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  RLCutSession& live = **opened;
+  ASSERT_TRUE(live.MaybeReoptimize(MigrationBudget::Unlimited()).ok());
+  ASSERT_TRUE(live.PublishPlan().ok());
+  ASSERT_TRUE(live.ApplyDelta(batches[0]).ok());
+  ASSERT_TRUE(live.MaybeReoptimize(MigrationBudget::Unlimited()).ok());
+  ASSERT_TRUE(live.PublishPlan().ok());
+  ASSERT_TRUE(live.SaveCheckpoint(path).ok());
+
+  auto restored = RLCutSession::Restore(path, SessionOpts());
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  ReplayingSink sink;
+  (*restored)->SetReplicaSink(&sink);
+  EXPECT_TRUE((*restored)->replica_status().ok());
+  EXPECT_EQ(sink.begins, 1);
+  EXPECT_EQ(sink.replica.version(), 2u);
+  EXPECT_EQ(sink.replica.masters(), live.last_published_masters());
+
+  // The next publish chains onto the restored version.
+  ASSERT_TRUE((*restored)->ApplyDelta(batches[1]).ok());
+  ASSERT_TRUE(
+      (*restored)->MaybeReoptimize(MigrationBudget::Unlimited()).ok());
+  auto plan = (*restored)->PublishPlan();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(sink.replica.version(), 3u);
+  EXPECT_EQ(sink.replica.masters(), plan->masters);
+}
+
 TEST_F(SessionTest, RestoreFallsBackToRotatedCheckpoint) {
   const std::string path =
       ::testing::TempDir() + "/session_fallback.ckpt";
@@ -370,19 +428,22 @@ class SessionContractTest : public SessionTest,
  protected:
   ~SessionContractTest() override { fault::Disarm(); }
 
-  // The session kind named by the parameter: the two incremental
-  // baselines, RLCut, or a cold OneShotSession over a batch method.
-  std::unique_ptr<PartitioningSession> Open() {
+  // The session kind named by the parameter, over `ctx` (default: the
+  // shared streaming problem): the two incremental baselines, RLCut, or
+  // a cold OneShotSession over a batch method.
+  std::unique_ptr<PartitioningSession> Open(
+      const PartitionerContext* ctx = nullptr) {
+    const PartitionerContext& c = ctx != nullptr ? *ctx : ctx_;
     const std::string kind = GetParam();
     auto up = [](auto opened) -> std::unique_ptr<PartitioningSession> {
       EXPECT_TRUE(opened.ok()) << opened.status().ToString();
       return opened.ok() ? std::move(*opened) : nullptr;
     };
-    if (kind == "RLCut") return up(RLCutSession::Open(ctx_, SessionOpts()));
-    if (kind == "Spinner") return up(SpinnerSession::Open(ctx_, {}));
-    if (kind == "Leopard") return up(LeopardSession::Open(ctx_));
-    return up(OneShotSession::Open(MakePartitionerByName(kind, {}).value(),
-                                   ctx_));
+    if (kind == "RLCut") return up(RLCutSession::Open(c, SessionOpts()));
+    if (kind == "Spinner") return up(SpinnerSession::Open(c, {}));
+    if (kind == "Leopard") return up(LeopardSession::Open(c));
+    return up(
+        OneShotSession::Open(MakePartitionerByName(kind, {}).value(), c));
   }
 };
 
@@ -488,6 +549,65 @@ TEST_P(SessionContractTest, HonoursABindingMigrationBudget) {
   }
   // The budget did bind: without it the first pass moves more.
   EXPECT_GT(reverted, 0u);
+}
+
+TEST_P(SessionContractTest, ReplicaHoldsEveryPublishedPlan) {
+  // A power-law problem where a binding max_bytes budget meets input
+  // sizes that grow between re-optimization and publish: the edges
+  // ingested in between land on the moved vertices, so the publish-time
+  // re-clamp reverts moves the re-optimization kept.
+  PowerLawOptions power;
+  power.num_vertices = 2000;
+  power.num_edges = 16000;
+  power.seed = 5;
+  const Graph graph = GeneratePowerLaw(power);
+  GeoLocatorOptions geo;
+  geo.num_dcs = kDcs;
+  const std::vector<DcId> locations = AssignGeoLocations(graph, geo);
+  const std::vector<double> sizes = AssignInputSizes(graph);
+  PartitionerContext ctx = ctx_;
+  ctx.graph = &graph;
+  ctx.locations = &locations;
+  ctx.input_sizes = &sizes;
+  ctx.theta = PartitionState::AutoTheta(graph);
+
+  std::unique_ptr<PartitioningSession> session = Open(&ctx);
+  ASSERT_NE(session, nullptr);
+  ReplayingSink sink;
+  session->SetReplicaSink(&sink);
+  ASSERT_TRUE(session->replica_status().ok());
+  EXPECT_EQ(sink.replica.version(), 0u);
+  EXPECT_EQ(sink.replica.masters(), locations);
+
+  MigrationBudget budget;
+  budget.max_bytes = 2e6;
+  uint64_t publish_reverted = 0;
+  SimTime watermark;
+  for (int pass = 0; pass < 3; ++pass) {
+    ASSERT_TRUE(session->MaybeReoptimize(budget).ok());
+    // 64 extra edges on every vertex the pass moved.
+    const std::vector<DcId>& masters = session->live_state()->masters();
+    const std::vector<DcId>& published = session->last_published_masters();
+    MicroBatch grow;
+    watermark = watermark + SimTime(1);
+    grow.watermark = watermark;
+    for (VertexId v = 0; v < graph.num_vertices(); ++v) {
+      if (masters[v] == published[v]) continue;
+      for (VertexId k = 1; k <= 64; ++k) {
+        grow.edges.push_back(TimedEdge{
+            {v, (v + k) % graph.num_vertices()}, watermark});
+      }
+    }
+    ASSERT_TRUE(session->ApplyDelta(grow).ok());
+    auto plan = session->PublishPlan();
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    publish_reverted += plan->reverted_vertices;
+    EXPECT_TRUE(session->replica_status().ok());
+    EXPECT_EQ(sink.replica.version(), plan->version) << "pass " << pass;
+    EXPECT_EQ(sink.replica.masters(), plan->masters) << "pass " << pass;
+  }
+  EXPECT_GT(publish_reverted, 0u);
+  EXPECT_EQ(sink.begins, 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, SessionContractTest,

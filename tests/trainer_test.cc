@@ -283,32 +283,87 @@ TEST_F(TrainerTest, EmptyEligibleSetIsNoOp) {
   EXPECT_EQ(state.masters(), before);
 }
 
-// Records what a trainer hands its replica sink; Flush returns
+// Counts what a trainer hands its replica sink and replays it onto a
+// PlanReplica, as net::ReplicaClient's mirror does; Flush returns
 // `flush_status`.
 class RecordingSink : public ReplicaSink {
  public:
   Status Begin(const PlanSnapshot& snapshot) override {
     ++begins;
-    begun = snapshot;
-    return Status::Ok();
+    return replica.InstallSnapshot(snapshot);
   }
-  Status PushDelta(const PlanDelta& /*delta*/) override {
+  Status PushDelta(const PlanDelta& delta) override {
     ++pushes;
-    return Status::Ok();
+    return replica.Apply(delta);
   }
   Status Flush() override {
     ++flushes;
     return flush_status;
   }
   bool degraded() const override { return false; }
-  uint64_t version() const override { return begun.version + pushes; }
+  uint64_t version() const override { return replica.version(); }
 
   int begins = 0;
   int pushes = 0;
   int flushes = 0;
-  PlanSnapshot begun;
+  PlanReplica replica;
   Status flush_status;
 };
+
+uint64_t Migrations(const std::vector<StepStats>& steps, size_t first = 0) {
+  uint64_t migrations = 0;
+  for (size_t i = first; i < steps.size(); ++i) {
+    migrations += steps[i].migrations;
+  }
+  return migrations;
+}
+
+TEST_F(TrainerTest, SinkDeltasRebuildTheTrainedPlan) {
+  for (ActionSelection sel :
+       {ActionSelection::kUcbBlend, ActionSelection::kUcbScore,
+        ActionSelection::kProbability, ActionSelection::kGreedy}) {
+    PartitionState state = NaturalState();
+    RLCutOptions opt = FastOptions();
+    opt.selection = sel;
+    RLCutTrainer trainer(opt);
+    RecordingSink sink;
+    trainer.SetReplicaSink(&sink);
+    const TrainResult result = trainer.Train(&state);
+    EXPECT_GT(Migrations(result.steps), 0u)
+        << "selection=" << static_cast<int>(sel);
+    EXPECT_TRUE(result.replica_status.ok());
+    EXPECT_GT(sink.pushes, 0);
+    EXPECT_EQ(sink.replica.version(), static_cast<uint64_t>(sink.pushes));
+    EXPECT_EQ(sink.replica.masters(), state.masters())
+        << "selection=" << static_cast<int>(sel);
+  }
+}
+
+TEST_F(TrainerTest, SinkDeltasFollowAPausedAndResumedRun) {
+  PartitionState state = NaturalState();
+  RLCutTrainer trainer(FastOptions());
+  std::vector<VertexId> all(graph_.num_vertices());
+  std::iota(all.begin(), all.end(), 0u);
+  AutomatonPool pool(graph_.num_vertices(), state.num_dcs(), trainer.options());
+  TrainerSession session;
+  session.stop_after_step = 2;
+  RecordingSink sink;
+  trainer.SetReplicaSink(&sink);
+
+  const TrainResult paused = trainer.Train(&state, all, &pool, &session);
+  ASSERT_TRUE(session.paused);
+  EXPECT_GT(Migrations(paused.steps), 0u);
+  EXPECT_EQ(sink.replica.masters(), state.masters());
+
+  // The resumed call begins the sink again from the paused plan.
+  session.stop_after_step = -1;
+  const TrainResult resumed = trainer.Train(&state, all, &pool, &session);
+  ASSERT_TRUE(session.finished);
+  EXPECT_GT(Migrations(resumed.steps, paused.steps.size()), 0u);
+  EXPECT_EQ(sink.begins, 2);
+  EXPECT_TRUE(resumed.replica_status.ok());
+  EXPECT_EQ(sink.replica.masters(), state.masters());
+}
 
 TEST_F(TrainerTest, EarlyExitsBeginAndFlushTheReplicaSink) {
   PartitionState state = NaturalState();
@@ -336,9 +391,9 @@ TEST_F(TrainerTest, EarlyExitsBeginAndFlushTheReplicaSink) {
     EXPECT_EQ(sink.begins, 1);
     EXPECT_EQ(sink.pushes, 0);
     EXPECT_EQ(sink.flushes, 1);
-    EXPECT_EQ(sink.begun.version, 0u);
-    EXPECT_EQ(sink.begun.num_dcs, state.num_dcs());
-    EXPECT_EQ(sink.begun.masters, state.masters());
+    EXPECT_EQ(sink.replica.version(), 0u);
+    EXPECT_EQ(sink.replica.num_dcs(), state.num_dcs());
+    EXPECT_EQ(sink.replica.masters(), state.masters());
 
     sink.flush_status = Status::Internal("replica unreachable");
     EXPECT_FALSE(train().replica_status.ok());

@@ -4,13 +4,17 @@
 # worker and checks the two processes agree on the final plan
 # fingerprint. Phase 2 SIGKILLs the worker mid-run and restarts it
 # empty on the same port: the client must reconnect, detect the version
-# gap, heal via snapshot resync, and still end synced.
+# gap, heal via snapshot resync, and still end synced. Phase 3 serves a
+# stream with the worker attached: the worker must end at the last
+# published version, with that plan's fingerprint.
 #
-#   tools/net_demo.sh <rlcut_replica binary> <rlcut_tool binary>
+#   tools/net_demo.sh <rlcut_replica> <rlcut_tool> <rlcut_serve>
 set -u
 
-REPLICA_BIN=${1:?usage: net_demo.sh <rlcut_replica> <rlcut_tool>}
-TOOL_BIN=${2:?usage: net_demo.sh <rlcut_replica> <rlcut_tool>}
+usage="usage: net_demo.sh <rlcut_replica> <rlcut_tool> <rlcut_serve>"
+REPLICA_BIN=${1:?$usage}
+TOOL_BIN=${2:?$usage}
+SERVE_BIN=${3:?$usage}
 
 workdir=$(mktemp -d "${TMPDIR:-/tmp}/rlcut_net_demo.XXXXXX")
 replica_pid=""
@@ -29,6 +33,8 @@ fail() {
   cat "$workdir"/replica*.log >&2 2>/dev/null
   echo "---- tool log ----" >&2
   cat "$workdir"/tool*.log >&2 2>/dev/null
+  echo "---- serve log ----" >&2
+  cat "$workdir"/serve*.log >&2 2>/dev/null
   exit 1
 }
 
@@ -96,3 +102,25 @@ read -r resyncs reconnects <<<"$heals"
   || fail "phase 2: no resync/reconnect recorded (got '$heals')"
 echo "phase 2 ok: survived kill/restart ($resyncs resyncs," \
      "$reconnects reconnects)"
+kill -TERM "$replica_pid" && wait "$replica_pid" 2>/dev/null
+replica_pid=""
+
+# ---- Phase 3: a serving session replicates every published plan ------
+start_replica "$workdir/replica4.log" 0
+
+"$SERVE_BIN" --vertices=1024 --edges=6144 --quiet \
+    --replica_endpoint=127.0.0.1:"$replica_port" \
+    >"$workdir/serve.log" 2>&1 \
+  || fail "phase 3: rlcut_serve exited non-zero"
+published=$(sed -n "s/^replica 127\.0\.0\.1:$replica_port: synced, published v\([0-9]*\) fingerprint \([0-9a-f]\{16\}\).*/\1 \2/p" \
+            "$workdir/serve.log" | head -n1)
+[[ -n "$published" ]] || fail "phase 3: serve did not report a synced replica"
+
+kill -TERM "$replica_pid" && wait "$replica_pid" 2>/dev/null
+replica_pid=""
+final=$(sed -n 's/.*replica final: v\([0-9]*\) fingerprint \([0-9a-f]\{16\}\).*/\1 \2/p' \
+        "$workdir/replica4.log" | head -n1)
+[[ "$published" == "$final" ]] \
+  || fail "phase 3: replica holds '$final', serve published '$published'"
+echo "phase 3 ok: replica holds published plan v${published% *}" \
+     "(fingerprint ${published#* })"

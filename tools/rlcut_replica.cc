@@ -2,8 +2,9 @@
 //
 // The far side of the process-split replica link: owns a ReplicaServer
 // (a versioned PlanReplica behind the framed-message protocol) and
-// serves sequential connections from a trainer-side ReplicaClient —
-// rlcut_tool --replica_endpoint or rlcut_serve --replica_endpoint.
+// serves sequential connections from a ReplicaClient: a trainer's
+// (rlcut_tool --replica_endpoint) or a serving session's (rlcut_serve
+// --replica_endpoint).
 //
 //   rlcut_replica --port=7070
 //   rlcut_replica --port=0        # ephemeral; the chosen port is printed

@@ -99,8 +99,8 @@ int main(int argc, char** argv) {
                      "fault schedule spec, e.g. "
                      "'session.ingest_fail:prob=0.1' (see docs/robustness.md)");
   flags.DefineString("replica_endpoint", "",
-                     "ship plan deltas to a rlcut_replica worker at "
-                     "host:port (RLCut only; see docs/distributed.md)");
+                     "replicate every published plan to a rlcut_replica "
+                     "worker at host:port (see docs/distributed.md)");
   flags.DefineDouble("net_drift", 0.0,
                      "diurnal bandwidth-drift amplitude (0 disables "
                      "topology events; RLCut only)");
@@ -199,15 +199,11 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Optional process-split replica: every re-optimization's deltas are
-  // shipped to a rlcut_replica worker; failures degrade, never stall.
+  // Optional process-split replica: every published plan is shipped to
+  // a rlcut_replica worker as one delta; failures degrade, never stall.
   const std::string replica_endpoint = flags.GetString("replica_endpoint");
   std::unique_ptr<rlcut::net::ReplicaClient> replica_client;
   if (!replica_endpoint.empty()) {
-    if (rlcut_session == nullptr) {
-      std::fprintf(stderr, "--replica_endpoint requires --method=RLCut\n");
-      return 2;
-    }
     rlcut::net::ReplicaClientOptions client_options;
     client_options.retry.seed =
         static_cast<uint64_t>(flags.GetInt("seed"));
@@ -215,7 +211,7 @@ int main(int argc, char** argv) {
         rlcut::net::ReplicaClient::TcpConnector(
             replica_endpoint, client_options.dial_timeout_ms),
         client_options);
-    rlcut_session->SetReplicaSink(replica_client.get());
+    session->SetReplicaSink(replica_client.get());
   }
 
   rlcut::MigrationBudget budget = rlcut::MigrationBudget::Unlimited();
@@ -236,6 +232,7 @@ int main(int argc, char** argv) {
   const int64_t max_batches = flags.GetInt("max_batches");
 
   uint64_t publishes = 0;
+  uint64_t published_fingerprint = rlcut::MastersFingerprint({});
   uint64_t edges_ingested = 0;
   uint64_t vertices_migrated = 0;
   uint64_t ingest_errors = 0;
@@ -273,6 +270,7 @@ int main(int argc, char** argv) {
       return false;
     }
     ++publishes;
+    published_fingerprint = rlcut::MastersFingerprint(plan->masters);
     vertices_migrated += plan->migration.vertices_moved;
     if (!quiet) {
       std::printf("publish v%llu: objective %gs, moved %llu vertices "
@@ -413,12 +411,15 @@ int main(int argc, char** argv) {
     }
   }
   if (replica_client != nullptr) {
-    const rlcut::Status replica_status = rlcut_session->replica_status();
+    const rlcut::Status replica_status = session->replica_status();
     std::printf(
-        "replica %s: %s%s, mirror v%llu, %llu resyncs, %llu reconnects\n",
+        "replica %s: %s%s, published v%llu fingerprint %016llx, mirror "
+        "v%llu, %llu resyncs, %llu reconnects\n",
         replica_endpoint.c_str(),
         replica_status.ok() ? "synced" : replica_status.ToString().c_str(),
-        rlcut_session->replica_degraded() ? " (was degraded)" : "",
+        session->replica_degraded() ? " (was degraded)" : "",
+        static_cast<unsigned long long>(session->version()),
+        static_cast<unsigned long long>(published_fingerprint),
         static_cast<unsigned long long>(replica_client->mirror_version()),
         static_cast<unsigned long long>(replica_client->resyncs()),
         static_cast<unsigned long long>(replica_client->reconnects()));

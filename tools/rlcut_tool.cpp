@@ -602,21 +602,23 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // ---- RLCut with checkpoint/resume ----------------------------------------
-  // The registry API has no trainer-session surface, so the checkpoint
-  // flags drive the trainer directly (same setup as RunRLCut).
+  // ---- RLCut ---------------------------------------------------------------
+  // RLCut drives the trainer directly, with RunRLCut's setup: the
+  // checkpoint, resume and replica flags need the trainer's session and
+  // sink, which the registry API does not expose.
+  const std::string& method = flags.GetString("method");
   const bool wants_replica = !flags.GetString("replica_endpoint").empty();
-  const bool wants_checkpointing = !flags.GetString("checkpoint_out").empty() ||
-                                   !flags.GetString("resume_from").empty() ||
-                                   flags.GetInt("stop_after_step") >= 0 ||
-                                   flags.GetInt("checkpoint_every") > 0 ||
-                                   wants_replica;
-  if (wants_checkpointing) {
-    if (flags.GetString("method") != "RLCut") {
-      return Fail(Status::InvalidArgument(
-          "--checkpoint_out/--resume_from/--stop_after_step/"
-          "--checkpoint_every/--replica_endpoint require --method=RLCut"));
-    }
+  const bool wants_trainer = !flags.GetString("checkpoint_out").empty() ||
+                             !flags.GetString("resume_from").empty() ||
+                             flags.GetInt("stop_after_step") >= 0 ||
+                             flags.GetInt("checkpoint_every") > 0 ||
+                             wants_replica;
+  if (wants_trainer && method != "RLCut") {
+    return Fail(Status::InvalidArgument(
+        "--checkpoint_out/--resume_from/--stop_after_step/"
+        "--checkpoint_every/--replica_endpoint require --method=RLCut"));
+  }
+  if (method == "RLCut") {
     if (flags.GetInt("checkpoint_every") > 0 &&
         flags.GetString("checkpoint_out").empty()) {
       return Fail(Status::InvalidArgument(
@@ -669,9 +671,9 @@ int main(int argc, char** argv) {
     }
     session.stop_after_step = static_cast<int>(flags.GetInt("stop_after_step"));
 
-    // Process-split replica: mirror every replica-sync delta to a
-    // rlcut_replica worker. Network failures degrade (training is never
-    // perturbed); convergence is checked after the run.
+    // Process-split replica: ship the committed moves to a rlcut_replica
+    // worker. Network failures degrade (training is never perturbed);
+    // convergence is checked after the run.
     std::unique_ptr<net::ReplicaClient> replica_client;
     if (wants_replica) {
       net::ReplicaClientOptions client_options;
@@ -752,7 +754,6 @@ int main(int argc, char** argv) {
   }
 
   // ---- Partition -----------------------------------------------------------
-  const std::string& method = flags.GetString("method");
   PartitionerOptions options;
   options.t_opt_seconds = flags.GetDouble("t_opt");
   Result<std::unique_ptr<Partitioner>> partitioner =

@@ -11,11 +11,14 @@
 // ((seed / 3) % 3; preset 2 adds an outage schedule) and the compute
 // model ((seed / 9) % 3), so any 27 consecutive seeds cover every
 // combination. Besides incremental-vs-cold, every move runs the
-// batch-vs-single and SoA-vs-legacy lanes.
+// batch-vs-single and SoA-vs-legacy lanes, and every master move the
+// kept-collection lane: a collection kept across moves of other
+// vertices must still fold and commit exactly as a fresh one.
 
 #include <deque>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/fixtures.h"
@@ -138,7 +141,8 @@ std::string DiffSnapshots(const Snapshot& a, const Snapshot& b) {
 void RunOracleCase(uint64_t seed, LaneReport* report) {
   for (const char* count :
        {"moves", "cold recomputes", "rollbacks", "topology updates",
-        "invariant checks", "batched evals", "legacy evals"}) {
+        "invariant checks", "batched evals", "legacy evals", "kept folds",
+        "kept commits"}) {
     report->Add(count, 0);
   }
   const int graph_kind = static_cast<int>(seed % 3);
@@ -205,6 +209,10 @@ void RunOracleCase(uint64_t seed, LaneReport* report) {
   EvalScratch scratch;
   EvalScratch batch_scratch;
   std::vector<Objective> batched(kDcs);
+  MoveArena arena;
+  // The kept-collection lane draws from its own stream, so the case's
+  // move sequence is the same with or without it.
+  Rng kept_rng(seed ^ 0x6b657074ull);
 
   auto fail = [&](int move, const std::string& what) {
     std::ostringstream out;
@@ -253,6 +261,66 @@ void RunOracleCase(uint64_t seed, LaneReport* report) {
     }
   };
 
+  // Kept-collection lane: keep v's collection, move one to three other
+  // vertices (v's neighbors half the time), then the kept collection
+  // must fold against the moved state to exactly a fresh EvaluateMove
+  // for every destination, and CommitKeptMove must reach exactly the
+  // state MoveMaster reaches. Everything is undone afterwards.
+  auto kept_check = [&](int move, VertexId v, const Snapshot& pre) {
+    arena.Clear();
+    const KeptMove kept =
+        state.EvaluateMoveAll(v, &batch_scratch, batched.data(), &arena);
+    std::vector<std::pair<VertexId, DcId>> undo;
+    const auto in = graph.InNeighbors(v);
+    const auto out = graph.OutNeighbors(v);
+    const int num_others = 1 + static_cast<int>(kept_rng.UniformInt(3));
+    for (int k = 0; k < num_others; ++k) {
+      VertexId u = static_cast<VertexId>(kept_rng.UniformInt(n));
+      if (kept_rng.Bernoulli(0.5) && !in.empty() && !out.empty()) {
+        u = kept_rng.Bernoulli(0.5) ? in[kept_rng.UniformInt(in.size())]
+                                    : out[kept_rng.UniformInt(out.size())];
+      }
+      if (u == v) continue;
+      undo.emplace_back(u, state.master(u));
+      state.MoveMaster(u, static_cast<DcId>(kept_rng.UniformInt(kDcs)));
+    }
+    for (DcId r = 0; r < kDcs; ++r) {
+      report->Add("kept folds", 1);
+      const Objective folded = state.EvaluateKeptMove(kept, r, &scratch);
+      const Objective fresh = state.EvaluateMove(v, r, &scratch);
+      if (!SameObjective(folded, fresh)) {
+        fail(move, "EvaluateKeptMove[" + std::to_string(r) +
+                       "] after other moves vs EvaluateMove:" +
+                       DiffObjective(folded, fresh));
+      }
+    }
+    const DcId to = static_cast<DcId>(
+        (kept.from + 1 + static_cast<DcId>(kept_rng.UniformInt(kDcs - 1))) %
+        kDcs);
+    const Snapshot moved = Capture(state);
+    report->Add("kept commits", 1);
+    state.CommitKeptMove(kept, to);
+    const Snapshot via_kept = Capture(state);
+    state.MoveMaster(v, kept.from);
+    if (const std::string diff = DiffSnapshots(moved, Capture(state));
+        !diff.empty()) {
+      fail(move, "rollback of CommitKeptMove not bit-identical: " + diff);
+    }
+    state.MoveMaster(v, to);
+    if (const std::string diff = DiffSnapshots(via_kept, Capture(state));
+        !diff.empty()) {
+      fail(move, "CommitKeptMove vs MoveMaster: " + diff);
+    }
+    state.MoveMaster(v, kept.from);
+    for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
+      state.MoveMaster(it->first, it->second);
+    }
+    if (const std::string diff = DiffSnapshots(pre, Capture(state));
+        !diff.empty()) {
+      fail(move, "kept-collection lane left the state changed: " + diff);
+    }
+  };
+
   for (int move = 0; move < kMoves; ++move) {
     // Scheduled preset: re-price the live state against the effective
     // topology every 8 moves (move index doubles as the time step).
@@ -274,8 +342,8 @@ void RunOracleCase(uint64_t seed, LaneReport* report) {
       const DcId from = state.master(v);
 
       // Batch-vs-single lane: one EvaluateMoveAll against M
-      // independent EvaluateMove calls, exact on every entry (the
-      // batched path regroups only exact dyadic additions).
+      // independent EvaluateMove calls, exact on every entry (both run
+      // one fold).
       state.EvaluateMoveAll(v, &batch_scratch, batched.data());
       report->Add("batched evals", 1);
       for (DcId r = 0; r < kDcs; ++r) {
@@ -292,6 +360,7 @@ void RunOracleCase(uint64_t seed, LaneReport* report) {
           fail(move, "EvaluateMoveAll mutated state: " + batch_diff);
         }
       }
+      kept_check(move, v, pre);
 
       const Objective predicted = state.EvaluateMove(v, to, &scratch);
       const std::string eval_diff = DiffSnapshots(pre, Capture(state));

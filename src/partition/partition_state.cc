@@ -14,6 +14,11 @@ inline uint64_t Bit(DcId r) { return 1ull << r; }
 
 inline int PopCount(uint64_t x) { return std::popcount(x); }
 
+// Every DC of an M-DC topology, as a mask.
+inline uint64_t AllDcs(int num_dcs) {
+  return num_dcs < 64 ? Bit(num_dcs) - 1 : ~uint64_t{0};
+}
+
 // Iterates the set bits of `mask`, calling fn(DcId).
 template <typename Fn>
 inline void ForEachDc(uint64_t mask, Fn&& fn) {
@@ -78,12 +83,10 @@ void EvalScratch::EnsureSized(VertexId num_vertices, int num_dcs) {
     slot_epoch_.resize(num_vertices, 0);
   }
   const size_t agg_len = static_cast<size_t>(num_dcs) * 4;
-  if (work_.size() < agg_len) {
-    work_.resize(agg_len);
-    base_.resize(agg_len);
-  }
+  if (base_.size() < agg_len) base_.resize(agg_len);
   if (corr_head_.size() < static_cast<size_t>(num_dcs)) {
     corr_head_.resize(num_dcs, -1);
+    out_.resize(num_dcs);
   }
 }
 
@@ -372,35 +375,32 @@ void PartitionState::AccumulateContribution(
   }
 }
 
-void PartitionState::CollectMasterMoveDeltas(VertexId v, DcId from, DcId to,
-                                             EvalScratch* scratch,
-                                             bool record_moved_edges) const {
+void PartitionState::CollectMasterMove(VertexId v, EvalScratch* scratch,
+                                       std::vector<AffectedDelta>* out) const {
   EvalScratch& s = *scratch;
   s.EnsureSized(graph_->num_vertices(), num_dcs_);
-  s.affected_.clear();
-  s.moved_edges_.clear();
-  s.from_dc_ = from;
-  s.to_dc_ = to;
+  std::vector<AffectedDelta>& affected = *out;
   if (++s.epoch_ == 0) {
     std::fill(s.slot_epoch_.begin(), s.slot_epoch_.end(), 0u);
     s.epoch_ = 1;
   }
-  // On first touch, prefetch the per-vertex state the evaluation loops
-  // read next (masks, counts, byte sizes): those loads are scattered
-  // and would otherwise serialize on cache misses.
-  auto touch = [&](VertexId w) -> EvalScratch::AffectedDelta& {
+  // On first touch, prefetch the per-vertex state the fold reads next
+  // (masks, counts, byte sizes): those loads are scattered and would
+  // otherwise serialize on cache misses.
+  auto touch = [&](VertexId w) -> AffectedDelta& {
     if (s.slot_epoch_[w] != s.epoch_) {
       s.slot_epoch_[w] = s.epoch_;
-      s.slot_[w] = static_cast<uint32_t>(s.affected_.size());
-      s.affected_.push_back({w, 0, 0, 0, 0});
+      s.slot_[w] = static_cast<uint32_t>(affected.size());
+      affected.push_back({w, 0, 0, 0, 0});
       __builtin_prefetch(&meta_[w]);
       __builtin_prefetch(&cnt_[static_cast<size_t>(w) * num_dcs_]);
     }
-    return s.affected_[s.slot_[w]];
+    return affected[s.slot_[w]];
   };
 
   // v is always affected: its master bit moves even if no edge does.
   // Its (large) delta accumulates in locals and is written once.
+  const size_t v_slot = affected.size();
   touch(v);
   int32_t v_cnt = 0;
   int32_t v_in = 0;
@@ -410,10 +410,9 @@ void PartitionState::CollectMasterMoveDeltas(VertexId v, DcId from, DcId to,
     // span gives each source directly, avoiding an edge->endpoint
     // lookup per edge.
     auto in_neighbors = graph_->InNeighbors(v);
-    auto in_edge_ids = graph_->InEdgeIds(v);
     for (size_t k = 0; k < in_neighbors.size(); ++k) {
       const VertexId u = in_neighbors[k];
-      RLCUT_DCHECK(edge_dc_[in_edge_ids[k]] == from);
+      RLCUT_DCHECK(edge_dc_[graph_->InEdgeIds(v)[k]] == masters_[v]);
       if (u == v) {
         v_cnt += 2;  // self-loop: v is both endpoints
       } else {
@@ -423,19 +422,17 @@ void PartitionState::CollectMasterMoveDeltas(VertexId v, DcId from, DcId to,
         ++v_cnt;
       }
       ++v_in;
-      if (record_moved_edges) s.moved_edges_.push_back(in_edge_ids[k]);
     }
   }
   // High-cut: v's out-edges into high-degree targets follow v's master.
   // A self-loop with is_high_[v] lands here and was not handled by the
   // low-cut branch; with !is_high_[v] the low-cut branch already moved
   // it and the is_high_[u] condition is false.
-  const EdgeId out_begin = graph_->OutEdgeBegin(v);
   auto out_neighbors = graph_->OutNeighbors(v);
   for (size_t k = 0; k < out_neighbors.size(); ++k) {
     const VertexId u = out_neighbors[k];
     if (!is_high_[u]) continue;
-    RLCUT_DCHECK(edge_dc_[out_begin + k] == from);
+    RLCUT_DCHECK(edge_dc_[graph_->OutEdgeBegin(v) + k] == masters_[v]);
     if (u == v) {
       v_cnt += 2;
       ++v_in;
@@ -447,29 +444,24 @@ void PartitionState::CollectMasterMoveDeltas(VertexId v, DcId from, DcId to,
       ++du.in_to;
       ++v_cnt;
     }
-    if (record_moved_edges) s.moved_edges_.push_back(out_begin + k);
   }
 
-  auto& dv = s.affected_[s.slot_[v]];
+  auto& dv = affected[v_slot];
   dv.cnt_from -= v_cnt;
   dv.cnt_to += v_cnt;
   dv.in_from -= v_in;
   dv.in_to += v_in;
 }
 
-void PartitionState::CollectEdgePlaceDeltas(EdgeId e, DcId to,
-                                            EvalScratch* scratch) const {
+void PartitionState::CollectEdgePlace(EdgeId e, EvalScratch* scratch) const {
   EvalScratch& s = *scratch;
   s.EnsureSized(graph_->num_vertices(), num_dcs_);
   s.affected_.clear();
-  s.moved_edges_.clear();
-  s.from_dc_ = edge_dc_[e];
-  s.to_dc_ = to;
   if (++s.epoch_ == 0) {
     std::fill(s.slot_epoch_.begin(), s.slot_epoch_.end(), 0u);
     s.epoch_ = 1;
   }
-  auto touch = [&s](VertexId w) -> EvalScratch::AffectedDelta& {
+  auto touch = [&s](VertexId w) -> AffectedDelta& {
     if (s.slot_epoch_[w] != s.epoch_) {
       s.slot_epoch_[w] = s.epoch_;
       s.slot_[w] = static_cast<uint32_t>(s.affected_.size());
@@ -477,25 +469,19 @@ void PartitionState::CollectEdgePlaceDeltas(EdgeId e, DcId to,
     }
     return s.affected_[s.slot_[w]];
   };
-  const VertexId src = graph_->EdgeSource(e);
-  const VertexId dst = graph_->EdgeTarget(e);
-  auto& ds = touch(src);
+  auto& ds = touch(graph_->EdgeSource(e));
   --ds.cnt_from;
   ++ds.cnt_to;
-  auto& dd = touch(dst);
+  auto& dd = touch(graph_->EdgeTarget(e));
   --dd.cnt_from;
   ++dd.cnt_to;
   --dd.in_from;
   ++dd.in_to;
-  s.moved_edges_.push_back(e);
 }
 
-void PartitionState::CommitDeltas(EvalScratch* scratch, VertexId move_vertex,
-                                  DcId new_master_v) {
+void PartitionState::CommitDeltas(const AffectedDelta* deltas, size_t n,
+                                  DcId from, DcId to, VertexId move_vertex) {
   untouched_since_derive_ = false;
-  EvalScratch& s = *scratch;
-  const DcId from = s.from_dc_;
-  const DcId to = s.to_dc_;
   double* gather_up = agg_.data();
   double* gather_down = gather_up + num_dcs_;
   double* apply_up = gather_up + 2 * num_dcs_;
@@ -517,7 +503,8 @@ void PartitionState::CommitDeltas(EvalScratch* scratch, VertexId move_vertex,
   // aggregate change of every non-mover in O(1): its master is fixed,
   // so a mirror disappears at `from` exactly when the last incident
   // edge leaves, and appears at `to` exactly when the first arrives.
-  for (const auto& d : s.affected_) {
+  for (size_t i = 0; i < n; ++i) {
+    const AffectedDelta& d = deltas[i];
     const size_t row = static_cast<size_t>(d.v) * num_dcs_;
     const uint64_t em_old = edge_mask_[d.v];
     uint64_t em = em_old;
@@ -585,7 +572,7 @@ void PartitionState::CommitDeltas(EvalScratch* scratch, VertexId move_vertex,
   if (has_mover) {
     const DcId old_master = masters_[move_vertex];
     const DcId home = (*initial_locations_)[move_vertex];
-    const bool away = new_master_v != home;
+    const bool away = to != home;
     if ((old_master != home) != away) {
       // Same operations as MoveCostIfAway, so a committed move lands on
       // the bits its evaluation predicted.
@@ -595,35 +582,61 @@ void PartitionState::CommitDeltas(EvalScratch* scratch, VertexId move_vertex,
       move_cost_ = SumMoveTerms(home, moved_term_[home]);
     }
     --masters_in_dc_[old_master];
-    ++masters_in_dc_[new_master_v];
-    masters_[move_vertex] = new_master_v;
-    meta_[move_vertex].master = new_master_v;
+    ++masters_in_dc_[to];
+    masters_[move_vertex] = to;
+    meta_[move_vertex].master = to;
     AccumulateContribution(move_vertex, edge_mask_[move_vertex],
-                           in_mask_[move_vertex], new_master_v, +1.0,
-                           gather_up, gather_down, apply_up, apply_down);
+                           in_mask_[move_vertex], to, +1.0, gather_up,
+                           gather_down, apply_up, apply_down);
     UpdateReplicaBits(move_vertex, mover_old_replica,
-                      edge_mask_[move_vertex] | Bit(new_master_v));
-  }
-
-  // Relocate the moved edges.
-  for (EdgeId e : s.moved_edges_) {
-    if (edge_dc_[e] != kNoDc) --edges_in_dc_[edge_dc_[e]];
-    edge_dc_[e] = to;
-    ++edges_in_dc_[to];
+                      edge_mask_[move_vertex] | Bit(to));
   }
 
   RefreshCachedObjective();
+}
+
+void PartitionState::RelocateEdge(EdgeId e, DcId to) {
+  if (edge_dc_[e] != kNoDc) --edges_in_dc_[edge_dc_[e]];
+  edge_dc_[e] = to;
+  ++edges_in_dc_[to];
+}
+
+void PartitionState::CommitMasterMove(VertexId v, const AffectedDelta* deltas,
+                                      size_t n, DcId to) {
+  CommitDeltas(deltas, n, masters_[v], to, v);
+  // The edges that follow v's master, by the rules CollectMasterMove
+  // collected them: v's in-edges when v is low-cut, and its out-edges
+  // into high-degree targets.
+  if (!is_high_[v]) {
+    for (EdgeId e : graph_->InEdgeIds(v)) RelocateEdge(e, to);
+  }
+  const EdgeId out_begin = graph_->OutEdgeBegin(v);
+  auto out_neighbors = graph_->OutNeighbors(v);
+  for (size_t k = 0; k < out_neighbors.size(); ++k) {
+    if (is_high_[out_neighbors[k]]) RelocateEdge(out_begin + k, to);
+  }
 }
 
 void PartitionState::MoveMaster(VertexId v, DcId to) {
   RLCUT_CHECK(derived_placement_)
       << "MoveMaster requires derived placement (hybrid/edge-cut)";
   RLCUT_DCHECK(to >= 0 && to < num_dcs_);
-  const DcId from = masters_[v];
-  if (from == to) return;
-  CollectMasterMoveDeltas(v, from, to, &mutation_scratch_,
-                          /*record_moved_edges=*/true);
-  CommitDeltas(&mutation_scratch_, v, to);
+  if (masters_[v] == to) return;
+  EvalScratch& s = mutation_scratch_;
+  s.affected_.clear();
+  CollectMasterMove(v, &s, &s.affected_);
+  CommitMasterMove(v, s.affected_.data(), s.affected_.size(), to);
+}
+
+void PartitionState::CommitKeptMove(const KeptMove& move, DcId to) {
+  RLCUT_CHECK(derived_placement_)
+      << "CommitKeptMove requires derived placement (hybrid/edge-cut)";
+  RLCUT_CHECK_EQ(masters_[move.v], move.from)
+      << "kept move of vertex " << move.v << " is stale: it moved since";
+  RLCUT_DCHECK(to >= 0 && to < num_dcs_);
+  if (move.from == to) return;
+  CommitMasterMove(move.v, move.arena->deltas_.data() + move.begin,
+                   move.end - move.begin, to);
 }
 
 void PartitionState::PlaceEdge(EdgeId e, DcId to) {
@@ -631,8 +644,11 @@ void PartitionState::PlaceEdge(EdgeId e, DcId to) {
       << "PlaceEdge requires explicit placement (vertex-cut)";
   RLCUT_DCHECK(to >= 0 && to < num_dcs_);
   if (edge_dc_[e] == to) return;
-  CollectEdgePlaceDeltas(e, to, &mutation_scratch_);
-  CommitDeltas(&mutation_scratch_, static_cast<VertexId>(-1), kNoDc);
+  EvalScratch& s = mutation_scratch_;
+  CollectEdgePlace(e, &s);
+  CommitDeltas(s.affected_.data(), s.affected_.size(), edge_dc_[e], to,
+               static_cast<VertexId>(-1));
+  RelocateEdge(e, to);
 }
 
 void PartitionState::SetMaster(VertexId v, DcId to) {
@@ -641,115 +657,25 @@ void PartitionState::SetMaster(VertexId v, DcId to) {
   RLCUT_DCHECK(to >= 0 && to < num_dcs_);
   const DcId from = masters_[v];
   if (from == to) return;
-  EvalScratch& s = mutation_scratch_;
-  s.EnsureSized(graph_->num_vertices(), num_dcs_);
-  s.affected_.clear();
-  s.moved_edges_.clear();
-  s.from_dc_ = from;
-  s.to_dc_ = to;
-  if (++s.epoch_ == 0) {
-    std::fill(s.slot_epoch_.begin(), s.slot_epoch_.end(), 0u);
-    s.epoch_ = 1;
-  }
-  s.slot_epoch_[v] = s.epoch_;
-  s.slot_[v] = 0;
-  s.affected_.push_back({v, 0, 0, 0, 0});
-  CommitDeltas(&s, v, to);
+  const AffectedDelta only_v{v, 0, 0, 0, 0};
+  CommitDeltas(&only_v, 1, from, to, v);
 }
 
-Objective PartitionState::EvaluateDeltas(EvalScratch* scratch,
-                                         VertexId move_vertex,
-                                         DcId new_master_v) const {
+void PartitionState::FoldDeltas(const AffectedDelta* deltas, size_t n,
+                                DcId from, VertexId move_vertex, uint64_t dests,
+                                EvalScratch* scratch, Objective* out,
+                                const AffectedDelta* prefetch,
+                                size_t n_prefetch) const {
   EvalScratch& s = *scratch;
-  const DcId from = s.from_dc_;
-  const DcId to = s.to_dc_;
-  double* gather_up = s.work_.data();
-  double* gather_down = gather_up + num_dcs_;
-  double* apply_up = gather_up + 2 * num_dcs_;
-  double* apply_down = gather_up + 3 * num_dcs_;
-  // Snapshot the live aggregates, then fold each affected vertex's net
-  // change: non-movers in O(1) (their master is fixed, only the from/to
-  // mirror bits can flip), the mover by a full remove/re-add since its
-  // master changes. All additions are exact on dyadic instances, so
-  // this matches CommitDeltas + RefreshCachedObjective bit-for-bit
-  // there.
-  std::memcpy(gather_up, agg_.data(),
-              sizeof(double) * static_cast<size_t>(num_dcs_) * 4);
-
-  for (const auto& d : s.affected_) {
-    const size_t row = static_cast<size_t>(d.v) * num_dcs_;
-    const VertexMeta& mt = meta_[d.v];
-    const uint64_t em_old = mt.edge_mask;
-    if (d.v == move_vertex) {
-      const uint64_t im_old = in_mask_[d.v];
-      AccumulateContribution(d.v, em_old, im_old, mt.master, -1.0,
-                             gather_up, gather_down, apply_up, apply_down);
-      uint64_t em = em_old;
-      uint64_t im = im_old;
-      if (from != kNoDc) {
-        const int64_t cf =
-            static_cast<int64_t>(cnt_[row + from]) + d.cnt_from;
-        const int64_t inf =
-            static_cast<int64_t>(in_cnt_[row + from]) + d.in_from;
-        em = (em & ~Bit(from)) | (cf > 0 ? Bit(from) : 0);
-        im = (im & ~Bit(from)) | (inf > 0 ? Bit(from) : 0);
-      }
-      const int64_t ct = static_cast<int64_t>(cnt_[row + to]) + d.cnt_to;
-      const int64_t it = static_cast<int64_t>(in_cnt_[row + to]) + d.in_to;
-      em = (em & ~Bit(to)) | (ct > 0 ? Bit(to) : 0);
-      im = (im & ~Bit(to)) | (it > 0 ? Bit(to) : 0);
-      AccumulateContribution(d.v, em, im, new_master_v, +1.0, gather_up,
-                             gather_down, apply_up, apply_down);
-      continue;
-    }
-    const DcId m = mt.master;
-    const double a = mt.apply_bytes;
-    if (from != kNoDc && (em_old & Bit(from)) != 0 && from != m &&
-        static_cast<int64_t>(cnt_[row + from]) + d.cnt_from == 0) {
-      apply_up[m] -= a;
-      apply_down[from] -= a;
-    }
-    if ((em_old & Bit(to)) == 0 && d.cnt_to > 0 && to != m) {
-      apply_up[m] += a;
-      apply_down[to] += a;
-    }
-    if (mt.is_high != 0) {
-      // in_mask_/in_cnt_ loads gated behind the rare high-degree case.
-      const uint64_t im_old = in_mask_[d.v];
-      const double g = gather_bytes_[d.v];
-      if (from != kNoDc && (im_old & Bit(from)) != 0 && from != m &&
-          static_cast<int64_t>(in_cnt_[row + from]) + d.in_from == 0) {
-        gather_down[m] -= g;
-        gather_up[from] -= g;
-      }
-      if ((im_old & Bit(to)) == 0 && d.in_to > 0 && to != m) {
-        gather_down[m] += g;
-        gather_up[to] += g;
-      }
-    }
-  }
-
-  const double mv_cost =
-      move_vertex == static_cast<VertexId>(-1)
-          ? move_cost_
-          : MoveCostIfAway(move_vertex,
-                           new_master_v != (*initial_locations_)[move_vertex]);
-  return ObjectiveFromAggregates(gather_up, gather_down, apply_up, apply_down,
-                                 mv_cost);
-}
-
-void PartitionState::EvaluateDeltasAll(EvalScratch* scratch,
-                                       VertexId move_vertex,
-                                       Objective* out) const {
-  EvalScratch& s = *scratch;
-  const DcId from = s.from_dc_;
-  const size_t num_affected = s.affected_.size();
+  // Prefetches the scattered rows the fold of another collection reads.
+  auto prefetch_row = [&](VertexId w) {
+    __builtin_prefetch(&meta_[w]);
+    __builtin_prefetch(&cnt_[static_cast<size_t>(w) * num_dcs_]);
+  };
 
   // Destination-independent base: live aggregates, minus the net
   // from-bit changes of the non-movers, minus the mover's old
   // contribution plus the destination-independent part of its new one.
-  // All additions are exact on dyadic instances, so regrouping them
-  // does not perturb the result relative to EvaluateDeltas.
   double* base_gu = s.base_.data();
   double* base_gd = base_gu + num_dcs_;
   double* base_au = base_gu + 2 * num_dcs_;
@@ -758,8 +684,6 @@ void PartitionState::EvaluateDeltasAll(EvalScratch* scratch,
               sizeof(double) * static_cast<size_t>(num_dcs_) * 4);
   s.corr_pool_.clear();
   std::fill_n(s.corr_head_.begin(), num_dcs_, -1);
-  const uint64_t valid_mask =
-      num_dcs_ < 64 ? (Bit(num_dcs_) - 1) : ~uint64_t{0};
   bool has_mover = false;
   bool mover_high = false;
   uint64_t mover_mid_em = 0;
@@ -768,8 +692,9 @@ void PartitionState::EvaluateDeltasAll(EvalScratch* scratch,
   int mover_im_pop = 0;
   double mover_a = 0;
   double mover_g = 0;
-  for (size_t i = 0; i < num_affected; ++i) {
-    const auto& d = s.affected_[i];
+  for (size_t i = 0; i < n; ++i) {
+    if (i < n_prefetch) prefetch_row(prefetch[i].v);
+    const AffectedDelta& d = deltas[i];
     const size_t row = static_cast<size_t>(d.v) * num_dcs_;
     const VertexMeta& mt = meta_[d.v];
     const uint64_t em_old = mt.edge_mask;
@@ -820,14 +745,14 @@ void PartitionState::EvaluateDeltasAll(EvalScratch* scratch,
       base_ad[from] -= a;
     }
     // A destination gains a mirror of this vertex exactly when its bit
-    // is off in the mid mask (the to-bit recomputation of EvaluateDeltas
-    // reduces to an OR because cnt_to/in_to deltas are never negative)
-    // and it is not the vertex's own master. Neighbors typically already
-    // hold replicas in most DCs, so few destinations fire; bucket one
-    // node per firing destination so the per-destination pass walks
-    // only its own short list instead of scanning every correction.
+    // is off in the mid mask (the to-side count deltas are never
+    // negative, so the to-bit recomputation reduces to an OR) and it is
+    // not the vertex's own master. Neighbors typically already hold
+    // replicas in most DCs, so few destinations fire; bucket one node per
+    // firing destination so the per-destination pass walks only its own
+    // short list instead of scanning every correction.
     if (d.cnt_to > 0) {
-      ForEachDc(~(em | Bit(m)) & valid_mask, [&](DcId r) {
+      ForEachDc(~(em | Bit(m)) & dests, [&](DcId r) {
         s.corr_pool_.push_back({m, a, 0.0, s.corr_head_[r]});
         s.corr_head_[r] = static_cast<int32_t>(s.corr_pool_.size()) - 1;
       });
@@ -847,13 +772,14 @@ void PartitionState::EvaluateDeltasAll(EvalScratch* scratch,
         base_gu[from] -= g;
       }
       if (d.in_to > 0) {
-        ForEachDc(~(im | Bit(m)) & valid_mask, [&](DcId r) {
+        ForEachDc(~(im | Bit(m)) & dests, [&](DcId r) {
           s.corr_pool_.push_back({m, 0.0, g, s.corr_head_[r]});
           s.corr_head_[r] = static_cast<int32_t>(s.corr_pool_.size()) - 1;
         });
       }
     }
   }
+  for (size_t i = n; i < n_prefetch; ++i) prefetch_row(prefetch[i].v);
 
   // Finalize the base once into per-DC lanes. Per destination, only the
   // DCs whose aggregates change (the destination itself plus the
@@ -893,7 +819,8 @@ void PartitionState::EvaluateDeltasAll(EvalScratch* scratch,
   double dl_a[kMaxDataCenters];
   double dl_s[kMaxDataCenters];
   double dl_c[kMaxDataCenters];
-  for (DcId to = 0; to < num_dcs_; ++to) {
+  for (uint64_t rest = dests; rest != 0; rest &= rest - 1) {
+    const DcId to = static_cast<DcId>(std::countr_zero(rest));
     if (to == from) {
       out[to] = cached_objective_;
       continue;
@@ -927,12 +854,12 @@ void PartitionState::EvaluateDeltasAll(EvalScratch* scratch,
     // mirror gained here — the master uploads one more copy and the new
     // mirror transfers it (Eq. 2-3).
     for (int32_t idx = s.corr_head_[to]; idx >= 0; idx = corr[idx].next) {
-      const EvalScratch::CorrNode& n = corr[idx];
-      touch_dc(n.m);
-      dau[n.m] += n.a;
-      dad[to] += n.a;
-      dgd[n.m] += n.g;
-      dgu[to] += n.g;
+      const EvalScratch::CorrNode& c = corr[idx];
+      touch_dc(c.m);
+      dau[c.m] += c.a;
+      dad[to] += c.a;
+      dgd[c.m] += c.g;
+      dgu[to] += c.g;
     }
     // Recompute the lanes of the dirty DCs, then accumulate selecting
     // dirty lanes.
@@ -962,22 +889,48 @@ void PartitionState::EvaluateDeltasAll(EvalScratch* scratch,
   }
 }
 
-void PartitionState::EvaluateMoveAll(VertexId v, EvalScratch* scratch,
-                                     Objective* out) const {
+KeptMove PartitionState::EvaluateMoveAll(VertexId v, EvalScratch* scratch,
+                                         Objective* out,
+                                         MoveArena* keep) const {
   RLCUT_CHECK(derived_placement_);
-  const DcId from = masters_[v];
-  // The affected set and its count deltas do not depend on the
-  // destination; collect them once with a placeholder to_dc_.
-  CollectMasterMoveDeltas(v, from, from, scratch,
-                          /*record_moved_edges=*/false);
-  EvaluateDeltasAll(scratch, v, out);
+  std::vector<AffectedDelta>& collection =
+      keep != nullptr ? keep->deltas_ : scratch->affected_;
+  if (keep == nullptr) collection.clear();
+  const size_t begin = collection.size();
+  CollectMasterMove(v, scratch, &collection);
+  FoldDeltas(collection.data() + begin, collection.size() - begin,
+             masters_[v], v, AllDcs(num_dcs_), scratch, out);
+  if (keep == nullptr) return KeptMove{};
+  return KeptMove{keep, v, masters_[v], static_cast<uint32_t>(begin),
+                  static_cast<uint32_t>(collection.size())};
+}
+
+Objective PartitionState::EvaluateKeptMove(const KeptMove& move, DcId to,
+                                           EvalScratch* scratch,
+                                           const KeptMove* prefetch) const {
+  RLCUT_DCHECK(masters_[move.v] == move.from);
+  if (move.from == to) return cached_objective_;
+  // Nothing is collected here, so only the fold's per-DC buffers.
+  scratch->EnsureSized(/*num_vertices=*/0, num_dcs_);
+  const AffectedDelta* next = nullptr;
+  size_t n_next = 0;
+  if (prefetch != nullptr) {
+    next = prefetch->arena->deltas_.data() + prefetch->begin;
+    n_next = prefetch->end - prefetch->begin;
+  }
+  FoldDeltas(move.arena->deltas_.data() + move.begin, move.end - move.begin,
+             move.from, move.v, Bit(to), scratch, scratch->out_.data(), next,
+             n_next);
+  return scratch->out_[to];
 }
 
 void PartitionState::EvaluatePlaceEdgeAll(EdgeId e, EvalScratch* scratch,
                                           Objective* out) const {
   RLCUT_CHECK(!derived_placement_);
-  CollectEdgePlaceDeltas(e, edge_dc_[e], scratch);
-  EvaluateDeltasAll(scratch, static_cast<VertexId>(-1), out);
+  CollectEdgePlace(e, scratch);
+  FoldDeltas(scratch->affected_.data(), scratch->affected_.size(),
+             edge_dc_[e], static_cast<VertexId>(-1), AllDcs(num_dcs_),
+             scratch, out);
 }
 
 Objective PartitionState::EvaluateMove(VertexId v, DcId to,
@@ -985,17 +938,24 @@ Objective PartitionState::EvaluateMove(VertexId v, DcId to,
   RLCUT_CHECK(derived_placement_);
   const DcId from = masters_[v];
   if (from == to) return cached_objective_;
-  CollectMasterMoveDeltas(v, from, to, scratch,
-                          /*record_moved_edges=*/false);
-  return EvaluateDeltas(scratch, v, to);
+  EvalScratch& s = *scratch;
+  s.affected_.clear();
+  CollectMasterMove(v, &s, &s.affected_);
+  FoldDeltas(s.affected_.data(), s.affected_.size(), from, v, Bit(to), &s,
+             s.out_.data());
+  return s.out_[to];
 }
 
 Objective PartitionState::EvaluatePlaceEdge(EdgeId e, DcId to,
                                             EvalScratch* scratch) const {
   RLCUT_CHECK(!derived_placement_);
-  if (edge_dc_[e] == to) return cached_objective_;
-  CollectEdgePlaceDeltas(e, to, scratch);
-  return EvaluateDeltas(scratch, static_cast<VertexId>(-1), kNoDc);
+  const DcId from = edge_dc_[e];
+  if (from == to) return cached_objective_;
+  EvalScratch& s = *scratch;
+  CollectEdgePlace(e, &s);
+  FoldDeltas(s.affected_.data(), s.affected_.size(), from,
+             static_cast<VertexId>(-1), Bit(to), &s, s.out_.data());
+  return s.out_[to];
 }
 
 Objective PartitionState::ObjectiveFromAggregates(const double* gather_up,

@@ -63,34 +63,34 @@ class EvalScratch {
 
  private:
   friend class PartitionState;
+  friend class MoveArena;
 
+  // One affected vertex of a move: its incident- and in-edge count
+  // deltas at the move's source DC (from) and destination DC (to).
   struct AffectedDelta {
     VertexId v;
-    int32_t cnt_from = 0;  // incident-edge count delta at the from-DC
+    int32_t cnt_from = 0;
     int32_t cnt_to = 0;
-    int32_t in_from = 0;  // in-edge count delta at the from-DC
+    int32_t in_from = 0;
     int32_t in_to = 0;
   };
 
   void EnsureSized(VertexId num_vertices, int num_dcs);
 
+  // The collection of the pending evaluation or mutation.
   std::vector<AffectedDelta> affected_;
-  // Epoch-tagged vertex -> affected_ slot map for O(1) dedup.
+  // Epoch-tagged vertex -> collection index map for O(1) dedup.
   std::vector<uint32_t> slot_;
   std::vector<uint32_t> slot_epoch_;
   uint32_t epoch_ = 0;
-  std::vector<EdgeId> moved_edges_;
-  // Source/destination DCs of the pending move (kNoDc = unplaced).
-  DcId from_dc_ = kNoDc;
-  DcId to_dc_ = kNoDc;
-  // Flat per-DC aggregate buffers in the live-state layout
+  // Per-destination results of a single-destination fold.
+  std::vector<Objective> out_;
+  // Flat per-DC aggregate buffer in the live-state layout
   // [gather_up | gather_down | apply_up | apply_down], each num_dcs
-  // wide: `work_` holds one hypothetical destination's aggregates,
-  // `base_` the destination-independent base shared by every candidate
-  // destination in the batched evaluators.
-  std::vector<double> work_;
+  // wide: the destination-independent base shared by every destination
+  // of one fold.
   std::vector<double> base_;
-  // Per-destination correction lists for the batched evaluators. An
+  // Per-destination correction lists of the fold. An
   // affected neighbor's replica mask is dense on real instances (its
   // edges spread over many masters), so the destinations where it
   // gains a NEW mirror — the complement of its replica mask — are the
@@ -106,6 +106,33 @@ class EvalScratch {
   };
   std::vector<CorrNode> corr_pool_;
   std::vector<int32_t> corr_head_;  // per-destination list heads
+};
+
+/// Flat storage for master-move collections that a caller keeps (see
+/// EvaluateMoveAll): every kept collection is appended, so a warm arena
+/// keeps a whole batch of them without allocating. Clear() forgets them
+/// all and invalidates every KeptMove that names this arena.
+class MoveArena {
+ public:
+  void Clear() { deltas_.clear(); }
+
+ private:
+  friend class PartitionState;
+  std::vector<EvalScratch::AffectedDelta> deltas_;
+};
+
+/// A master move of vertex v, collected once into a MoveArena. The
+/// collection (the affected vertices and their count deltas) depends on
+/// the graph, the degree classes and v's master, but on neither the
+/// destination nor any live count, so moves of other vertices leave it
+/// valid: it can be priced against any later state and committed there,
+/// until v itself moves or its arena is cleared.
+struct KeptMove {
+  const MoveArena* arena = nullptr;
+  VertexId v = 0;
+  DcId from = kNoDc;   // v's master when collected
+  uint32_t begin = 0;  // [begin, end) of arena's deltas
+  uint32_t end = 0;
 };
 
 /// Mutable partitioning state plus the incremental Eq. 1-5 evaluator.
@@ -128,10 +155,11 @@ class EvalScratch {
 /// MoveMaster (hybrid/edge-cut) and PlaceEdge (explicit) are O(deg) and
 /// exactly reversible, which the RL migration step's rollback relies
 /// on. EvaluateMove is const and thread-safe, enabling parallel
-/// multi-agent score computation against a shared state. All pricing —
-/// live, single-eval, batched, and cold rebuild — funnels through one
-/// compiled finalize (ObjectiveFromAggregates), which is what keeps the
-/// differential oracle's bit-exactness contract on dyadic instances.
+/// multi-agent score computation against a shared state. Every what-if
+/// evaluation, single or batched, runs one fold, so the two agree bit
+/// for bit on any instance; it and the live and cold paths price through
+/// the same lane finalize, which is what keeps the differential
+/// oracle's bit-exactness contract on dyadic instances.
 class PartitionState {
  public:
   /// All pointers must outlive the state. `initial_locations` are the
@@ -195,6 +223,11 @@ class PartitionState {
   /// Moving back to the previous DC exactly restores the prior state.
   void MoveMaster(VertexId v, DcId to);
 
+  /// MoveMaster(move.v, to) from a kept collection (see KeptMove),
+  /// skipping the collection MoveMaster would make; the resulting state
+  /// is identical. `move.v` must still be at move.from.
+  void CommitKeptMove(const KeptMove& move, DcId to);
+
   /// Places (or re-places) one edge; explicit-placement mode only.
   void PlaceEdge(EdgeId e, DcId to);
 
@@ -203,6 +236,11 @@ class PartitionState {
   void SetMaster(VertexId v, DcId to);
 
   // ---- What-if evaluation (const, thread-safe) ------------------------
+  //
+  // Every evaluator below is one fold (FoldDeltas) over one collection:
+  // the single-destination evaluators run the all-destination fold
+  // restricted to their destination, so EvaluateMove(v, to) equals
+  // EvaluateMoveAll(v)[to] bit for bit on every instance.
 
   /// Objective after hypothetically moving v's master to `to`
   /// (derived-placement mode). Does not modify the state.
@@ -214,16 +252,27 @@ class PartitionState {
 
   /// Batched what-if: fills out[r] with the objective after
   /// hypothetically moving v's master to r, for every r in [0, M).
-  /// out[master(v)] is the current objective. Equivalent to M calls to
-  /// EvaluateMove — bit-exact on dyadic-exact instances (see
-  /// docs/correctness.md) — but the O(deg) affected-set collection and
-  /// the destination-independent "remove old contribution" half run
-  /// once instead of M times, so per-agent all-DC scoring drops from
-  /// O(deg * M^2) to O(deg * M + M^2). Const and thread-safe with a
-  /// per-thread scratch, like EvaluateMove. `out` must hold num_dcs()
-  /// elements. Derived-placement mode only.
-  void EvaluateMoveAll(VertexId v, EvalScratch* scratch,
-                       Objective* out) const;
+  /// out[master(v)] is the current objective. The O(deg) affected-set
+  /// collection and the destination-independent "remove old
+  /// contribution" half run once instead of M times, so per-agent
+  /// all-DC scoring costs O(deg * M + M^2) instead of O(deg * M^2).
+  /// Const and thread-safe with a per-thread scratch, like EvaluateMove.
+  /// `out` must hold num_dcs() elements. Derived-placement mode only.
+  ///
+  /// With `keep`, the collection is appended to that arena instead of
+  /// the scratch, and the returned KeptMove names it for
+  /// EvaluateKeptMove and CommitKeptMove; without, the return value
+  /// names nothing.
+  KeptMove EvaluateMoveAll(VertexId v, EvalScratch* scratch, Objective* out,
+                           MoveArena* keep = nullptr) const;
+
+  /// EvaluateMove(move.v, to) from a kept collection, without collecting
+  /// again: the same fold, against the live state. `move.v` must still
+  /// be at move.from. When `prefetch` names the move the caller prices
+  /// next, its rows are prefetched while this one folds.
+  Objective EvaluateKeptMove(const KeptMove& move, DcId to,
+                             EvalScratch* scratch,
+                             const KeptMove* prefetch = nullptr) const;
 
   /// Batched what-if for explicit placement: fills out[r] with the
   /// objective after hypothetically placing edge e at r, for every r.
@@ -367,35 +416,44 @@ class PartitionState {
                               double* gather_up, double* gather_down,
                               double* apply_up, double* apply_down) const;
 
-  // Collects the per-vertex count deltas and moved edges for a master
-  // move of v from `from` to `to` into `scratch`. The moved-edge list
-  // is only recorded when requested: CommitDeltas needs it, the const
-  // evaluation paths do not.
-  void CollectMasterMoveDeltas(VertexId v, DcId from, DcId to,
-                               EvalScratch* scratch,
-                               bool record_moved_edges) const;
+  using AffectedDelta = EvalScratch::AffectedDelta;
 
-  // Collects deltas for placing edge e at `to` (from its current DC).
-  void CollectEdgePlaceDeltas(EdgeId e, DcId to, EvalScratch* scratch) const;
+  // Appends to `out` the collection of a master move of v away from its
+  // current master: every affected vertex once (deduplicated through
+  // scratch's epoch map), with its count deltas. The deltas do not
+  // depend on the destination.
+  void CollectMasterMove(VertexId v, EvalScratch* scratch,
+                         std::vector<AffectedDelta>* out) const;
 
-  // Applies collected deltas to the live state; `new_master_v` is the
-  // new master for `move_vertex` (or kNoDc for edge placements).
-  void CommitDeltas(EvalScratch* scratch, VertexId move_vertex,
-                    DcId new_master_v);
+  // Collects into scratch->affected_ the deltas of placing edge e
+  // anywhere but its current DC.
+  void CollectEdgePlace(EdgeId e, EvalScratch* scratch) const;
 
-  // Evaluates the objective under the deltas in `scratch` plus an
-  // optional master change, without mutating the partition state
-  // (scratch's working aggregates are used as memory).
-  Objective EvaluateDeltas(EvalScratch* scratch, VertexId move_vertex,
-                           DcId new_master_v) const;
+  // The one fold: writes out[to], for every destination `to` in the DC
+  // mask `dests`, the objective after moving the collection
+  // [deltas, deltas + n) from `from` to `to`. `move_vertex` is the vertex
+  // whose master follows the destination, or VertexId(-1) for an edge
+  // placement. A destination equal to `from` gets the current objective.
+  // Rows of `prefetch` (n_prefetch deltas) are prefetched along the way.
+  // `scratch` must be sized for this state (EnsureSized).
+  void FoldDeltas(const AffectedDelta* deltas, size_t n, DcId from,
+                  VertexId move_vertex, uint64_t dests, EvalScratch* scratch,
+                  Objective* out, const AffectedDelta* prefetch = nullptr,
+                  size_t n_prefetch = 0) const;
 
-  // Evaluates the objective of the deltas in `scratch` for every
-  // destination DC at once (see EvaluateMoveAll). `move_vertex` is the
-  // vertex whose master follows the destination, or VertexId(-1) for
-  // edge placements. Destinations equal to scratch->from_dc_ are
-  // filled with the cached current objective.
-  void EvaluateDeltasAll(EvalScratch* scratch, VertexId move_vertex,
-                         Objective* out) const;
+  // Applies a collection's count deltas for a move from `from` to `to`
+  // to the live state, with `move_vertex`'s master following `to`
+  // (VertexId(-1) for an edge placement). Edge DCs are the caller's.
+  void CommitDeltas(const AffectedDelta* deltas, size_t n, DcId from, DcId to,
+                    VertexId move_vertex);
+
+  // CommitDeltas for a master move of v, plus the relocation of the
+  // edges that follow v's master.
+  void CommitMasterMove(VertexId v, const AffectedDelta* deltas, size_t n,
+                        DcId to);
+
+  // Moves edge e to DC `to` in the per-DC edge counts.
+  void RelocateEdge(EdgeId e, DcId to);
 
   // Eq. 4 cost as the DC-ordered sum of the per-home-DC terms, with
   // DC `r`'s term replaced by `term_r` (r = kNoDc sums the live terms).

@@ -19,6 +19,9 @@ enum class ActionSelection {
   kGreedy,
 };
 
+/// Largest RLCutOptions::num_threads that ValidateRLCutOptions accepts.
+inline constexpr int kMaxTrainerThreads = 1024;
+
 /// Tuning knobs of the RLCut trainer. Defaults follow Sec. VI-A4.
 struct RLCutOptions {
   /// LA reward parameter alpha (Eq. 12).
@@ -40,10 +43,10 @@ struct RLCutOptions {
   /// and scored in parallel (paper default: 48).
   int batch_size = 48;
   /// Members of the scoring team (the training thread plus
-  /// num_threads - 1 helpers); 0 = hardware concurrency. A host
-  /// property: it only sets how much scoring parallelism the trainer
-  /// uses and never affects the trajectory, so a checkpoint resumes
-  /// bit-identically under any thread count.
+  /// num_threads - 1 helpers); 0 = hardware concurrency, at most
+  /// kMaxTrainerThreads. A host property: it only sets how much scoring
+  /// parallelism the trainer uses and never affects the trajectory, so
+  /// a checkpoint resumes bit-identically under any thread count.
   int num_threads = 0;
 
   /// Budget B on inter-DC communication cost, dollars (Eq. 7).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <iomanip>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -111,13 +112,36 @@ obs::Histogram* StageHistogram(const char* name) {
 }
 
 // Eq. 10 scores of one batch, indexed by slot: scores[slot * num_dcs +
-// r] and the best DC rho[slot]. Scoring is pure (it reads the frozen
-// batch-start state and writes only its chunk's slots here), so a chunk
-// may be scored twice at once, by its claimant and by the caller, and
-// either result is the same.
+// r] and the best DC rho[slot], kept beside what they were computed
+// from for Migrate to reuse: the objective after each move,
+// objectives[slot * num_dcs + r], and the slot's collection, kept[slot]
+// (a slice of the scoring member's arena). Scoring is pure (it reads
+// the frozen batch-start state and writes only its chunk's slots here
+// and its own arena), so a chunk may be scored twice at once, by its
+// claimant and by the caller, and either result is the same.
 struct SlotScores {
   std::vector<double> scores;
   std::vector<DcId> rho;
+  std::vector<Objective> objectives;
+  std::vector<KeptMove> kept;
+};
+
+// What one team member scores with: its evaluation scratch and the
+// arena its kept collections go to. Members append to their arenas
+// concurrently, so each gets cache lines of its own.
+struct alignas(64) TeamMember {
+  EvalScratch scratch;
+  MoveArena arena;
+};
+
+// One slot's proposed migration, in slot order: its agent's chosen DC,
+// the collection scoring kept for the agent, and the objective scoring
+// priced for that DC against the batch-start state.
+struct Proposal {
+  size_t slot;
+  DcId to;
+  const KeptMove* move;
+  const Objective* priced;
 };
 
 // The working state of one RLCutTrainer::Train call. The members are
@@ -136,7 +160,7 @@ struct TrainLoop {
         num_dcs(state->num_dcs()),
         session(session),
         eligible(std::move(eligible)),
-        scratch(num_threads),
+        members(num_threads),
         rng(options.seed + kStreamSeedOffset),
         scored_by(num_threads * kChunksPerThread),
         sink(sink) {}
@@ -153,9 +177,12 @@ struct TrainLoop {
   void Score();
   void ScoreClaimed(size_t c, size_t member);
   void Rescore();
-  bool ScoreChunk(size_t c, EvalScratch* es, SlotScores* out) const;
+  bool ScoreChunk(size_t c, EvalScratch* es, MoveArena* arena,
+                  SlotScores* out) const;
   void Commit(int step);
   void Migrate(StepStats* stats);
+  void AuditReuse(const Proposal& p, const Objective& after, bool folded,
+                  int step);
   void PushToSink();
   bool EndStep(int step, const WallTimer& step_timer, StepStats* stats);
   void Autosave(int step);
@@ -181,6 +208,9 @@ struct TrainLoop {
   bool paused = false;
   int64_t visits_remaining = 0;
   Objective last_objective;
+  // Whether this step runs the sampled RLCUT_DEBUG_INVARIANTS audits,
+  // decided once per step.
+  bool audit = false;
 
   // Sampling.
   std::vector<VertexId> eligible;
@@ -188,13 +218,15 @@ struct TrainLoop {
   std::vector<uint8_t> taken;
   std::vector<VertexId> agents;
 
-  // Automata, one evaluation scratch per team member, and the one
+  // Automata, the team members (plus one arena for the caller's
+  // re-scores, which share member 0's scratch), and the one
   // commit-phase PRNG stream. No random state belongs to a thread, so a
-  // session paused on a 16-core host resumes bit-identically on a 4-core
-  // one.
+  // session paused on a 16-core host resumes bit-identically on a
+  // 4-core one.
   std::unique_ptr<AutomatonPool> local_pool;
   AutomatonPool* automata = nullptr;
-  std::vector<EvalScratch> scratch;
+  std::vector<TeamMember> members;
+  MoveArena rescue_arena;
   Rng rng;
 
   // Eq. 10 weights of the current step.
@@ -204,11 +236,11 @@ struct TrainLoop {
   double cost_pressure = 0;
 
   // The current batch, agents[batch_begin, batch_begin + batch_len), and
-  // its decisions indexed by position within the batch (its slot).
+  // its proposed migrations. A slot is an agent's position in the batch.
   size_t batch_begin = 0;
   size_t batch_len = 0;
   Objective batch_objective;
-  std::vector<DcId> chosen;
+  std::vector<Proposal> proposals;
 
   // Scoring. Chunk c is the slots [chunk_start[c], chunk_start[c + 1]);
   // its claimant writes `claimed`, the caller's re-score writes
@@ -246,6 +278,8 @@ struct TrainLoop {
       TrainerCounter("trainer.checkpoint_autosave_failures");
   obs::Histogram* const score_stage_seconds =
       StageHistogram("trainer.stage.score_seconds");
+  obs::Histogram* const commit_stage_seconds =
+      StageHistogram("trainer.stage.commit_seconds");
   obs::Histogram* const migrate_stage_seconds =
       StageHistogram("trainer.stage.migrate_seconds");
 };
@@ -274,6 +308,14 @@ bool TrainLoop::Start(AutomatonPool* pool) {
     return false;
   }
 
+  // Each agent acts at most once per step: Migrate commits a slot from
+  // the collection scoring kept for it, which would be stale at a second
+  // slot of a vertex that moved at its first.
+  if (!std::is_sorted(eligible.begin(), eligible.end())) {
+    std::sort(eligible.begin(), eligible.end());
+  }
+  eligible.erase(std::unique(eligible.begin(), eligible.end()),
+                 eligible.end());
   // Sampling order: ascending degree (Sec. V-C: low-degree agents
   // contribute most per unit of training time). The descending order is
   // kept only for the Fig. 9 ablation.
@@ -322,10 +364,12 @@ bool TrainLoop::Start(AutomatonPool* pool) {
     visits_remaining = options.agent_visit_budget;
   }
   const size_t batch_size = static_cast<size_t>(options.batch_size);
-  chosen.assign(batch_size, kNoDc);
+  proposals.reserve(batch_size);
   for (SlotScores* buf : {&claimed, &rescored}) {
     buf->scores.resize(batch_size * static_cast<size_t>(num_dcs));
     buf->rho.resize(batch_size);
+    buf->objectives.resize(batch_size * static_cast<size_t>(num_dcs));
+    buf->kept.resize(batch_size);
   }
   taken.assign(graph.num_vertices(), 0);
   last_objective = state->CurrentObjective();
@@ -340,6 +384,7 @@ bool TrainLoop::Step(int step) {
   step_span.AddArg("step", step);
   // steps=A-B fault triggers scope themselves to this window.
   fault::SetStepContext(step);
+  audit = check::ShouldCheckInvariantsAtStep(step);
   const double sr = SampleRate(step);
   if (sr <= 0) {
     result.hit_time_budget = true;
@@ -467,6 +512,8 @@ void TrainLoop::Score() {
   for (size_t c = 0; c < num_chunks; ++c) {
     scored_by[c].store(kUnscored, std::memory_order_relaxed);
   }
+  for (TeamMember& m : members) m.arena.Clear();
+  rescue_arena.Clear();
   workers.RunTeam(
       num_chunks,
       [this](size_t c, size_t member) { ScoreClaimed(c, member); },
@@ -488,7 +535,8 @@ void TrainLoop::ScoreClaimed(size_t c, size_t member) {
       fault::CancellableSleepMs(stall_ms > 0 ? stall_ms : 30, &cancel);
     }
   }
-  if (ScoreChunk(c, &scratch[member], &claimed)) {
+  TeamMember& m = members[member];
+  if (ScoreChunk(c, &m.scratch, &m.arena, &claimed)) {
     uint8_t unscored = kUnscored;
     scored_by[c].compare_exchange_strong(unscored, kScoredByClaimant);
   }
@@ -503,7 +551,7 @@ void TrainLoop::Rescore() {
   for (size_t c = 0; c + 1 < chunk_start.size(); ++c) {
     if (scored_by[c].load() != kUnscored) continue;
     chunk_inline_runs->Increment();
-    if (ScoreChunk(c, &scratch[0], &rescored)) {
+    if (ScoreChunk(c, &members[0].scratch, &rescue_arena, &rescored)) {
       uint8_t unscored = kUnscored;
       scored_by[c].compare_exchange_strong(unscored, kRescored);
     }
@@ -511,11 +559,12 @@ void TrainLoop::Rescore() {
   cancel.store(true, std::memory_order_relaxed);
 }
 
-// Scores every DC (Eq. 10) for chunk c's slots into `out`; false if the
-// attempt stopped early because the other attempt at the chunk won or
-// the batch was cancelled. Reads only the frozen batch-start state.
-bool TrainLoop::ScoreChunk(size_t c, EvalScratch* es, SlotScores* out) const {
-  Objective evals[kMaxDataCenters];
+// Scores every DC (Eq. 10) for chunk c's slots into `out`, keeping each
+// slot's collection in `arena`; false if the attempt stopped early
+// because the other attempt at the chunk won or the batch was
+// cancelled. Reads only the frozen batch-start state.
+bool TrainLoop::ScoreChunk(size_t c, EvalScratch* es, MoveArena* arena,
+                           SlotScores* out) const {
   const Objective& current = batch_objective;
   for (size_t slot = chunk_start[c]; slot < chunk_start[c + 1]; ++slot) {
     if (scored_by[c].load(std::memory_order_relaxed) != kUnscored ||
@@ -531,7 +580,9 @@ bool TrainLoop::ScoreChunk(size_t c, EvalScratch* es, SlotScores* out) const {
     DcId rho = state->master(v);
     double best_score = 0;
     double* scores = out->scores.data() + slot * static_cast<size_t>(num_dcs);
-    state->EvaluateMoveAll(v, es, evals);
+    Objective* evals =
+        out->objectives.data() + slot * static_cast<size_t>(num_dcs);
+    out->kept[slot] = state->EvaluateMoveAll(v, es, evals, arena);
     for (DcId r = 0; r < num_dcs; ++r) {
       const Objective& moved = (r == state->master(v)) ? current : evals[r];
       const double score = ObjectiveScore(current, moved, tw, cw, over_budget,
@@ -550,8 +601,13 @@ bool TrainLoop::ScoreChunk(size_t c, EvalScratch* es, SlotScores* out) const {
 
 // Sequential commit: steps 2-4 for every agent in slot order, drawing
 // from the one PRNG stream, so the commit sequence is the same however
-// the chunks were scheduled and whatever the thread count.
+// the chunks were scheduled and whatever the thread count. Each action
+// that leaves its agent's master becomes a proposal for Migrate, which
+// reads the chunk winner's kept objectives and collection.
 void TrainLoop::Commit(int step) {
+  obs::TraceSpan commit_span("trainer/stage/commit", "trainer");
+  WallTimer stage_timer;
+  proposals.clear();
   for (size_t c = 0; c + 1 < chunk_start.size(); ++c) {
     const SlotScores& buf = scored_by[c].load(std::memory_order_relaxed) ==
                                     kRescored
@@ -576,24 +632,41 @@ void TrainLoop::Commit(int step) {
       const double normalized =
           span > 0 ? (scores[action] - min_score) / span : 1.0;
       automata->RecordSelection(v, action, normalized);
-      chosen[slot] = action;
+      if (action != state->master(v)) {
+        proposals.push_back(
+            {slot, action, &buf.kept[slot],
+             &buf.objectives[slot * static_cast<size_t>(num_dcs) + action]});
+      }
     }
+  }
+  if (commit_stage_seconds != nullptr) {
+    commit_stage_seconds->Observe(stage_timer.ElapsedSeconds());
   }
 }
 
-// Step 5: migration with rollback, in batch order.
+// Step 5: migration with rollback, in batch order. Until the batch's
+// first accepted move the live state is the batch-start state that
+// scoring priced, so a proposal's objective is the one scoring kept and
+// nothing is evaluated; after it, the proposal's kept collection is
+// folded against the live state, prefetching the next one's rows. An
+// accepted move commits from the same collection.
 void TrainLoop::Migrate(StepStats* stats) {
   WallTimer migrate_timer;
-  for (size_t slot = 0; slot < batch_len; ++slot) {
-    const VertexId v = agents[batch_begin + slot];
-    const DcId action = chosen[slot];
-    const DcId from = state->master(v);
-    if (action == from) continue;
+  bool moved = false;
+  for (size_t i = 0; i < proposals.size(); ++i) {
+    const Proposal& p = proposals[i];
+    const KeptMove& move = *p.move;
     const Objective before = state->CurrentObjective();
-    // Evaluate-first acceptance: a rejected move costs one what-if
-    // evaluation instead of a commit plus an exact rollback, and most
-    // attempted moves are rejected once training settles.
-    const Objective after = state->EvaluateMove(v, action, &scratch[0]);
+    // Evaluate-first acceptance: a rejected move costs at most one fold
+    // instead of a commit plus an exact rollback, and most attempted
+    // moves are rejected once training settles.
+    const KeptMove* next = i + 1 < proposals.size() ? proposals[i + 1].move
+                                                    : nullptr;
+    const Objective after =
+        moved ? state->EvaluateKeptMove(move, p.to, &members[0].scratch,
+                                        next)
+              : *p.priced;
+    if (audit) AuditReuse(p, after, moved, stats->step);
     const double budget_delta =
         options.budget > 0 ? Delta(before.cost_dollars - options.budget) : 0.0;
     // Hard feasibility filter (Eq. 7): never accept a move that lands
@@ -610,15 +683,46 @@ void TrainLoop::Migrate(StepStats* stats) {
     } else {
       // An attached sink receives the committed move at the next push.
       if (sink != nullptr) {
-        sync_delta.moves.push_back(PlanMove{v, from, action});
+        sync_delta.moves.push_back(PlanMove{move.v, move.from, p.to});
       }
-      state->MoveMaster(v, action);
+      state->CommitKeptMove(move, p.to);
+      moved = true;
       ++stats->migrations;
     }
   }
   if (migrate_stage_seconds != nullptr) {
     migrate_stage_seconds->Observe(migrate_timer.ElapsedSeconds());
   }
+}
+
+// The sampled audit of Migrate's reuse: the objective it priced a
+// proposal at, kept from scoring or folded from the kept collection,
+// must equal a fresh EvaluateMove bit for bit.
+void TrainLoop::AuditReuse(const Proposal& p, const Objective& after,
+                           bool folded, int step) {
+  const VertexId v = p.move->v;
+  const Objective fresh =
+      state->EvaluateMove(v, p.to, &members[0].scratch);
+  if (after.transfer_seconds == fresh.transfer_seconds &&
+      after.cost_dollars == fresh.cost_dollars &&
+      after.smooth_seconds == fresh.smooth_seconds) {
+    return;
+  }
+  RLCUT_CHECK(false) << "trainer step " << step << " slot " << p.slot
+                     << " vertex " << v << " -> DC " << p.to << ": the "
+                     << (folded ? "kept-collection fold"
+                                : "objective kept from scoring")
+                     << " differs from a fresh EvaluateMove"
+                     << std::setprecision(17) << " (transfer "
+                     << after.transfer_seconds << " vs "
+                     << fresh.transfer_seconds << ", cost "
+                     << after.cost_dollars << " vs " << fresh.cost_dollars
+                     << ", smooth " << after.smooth_seconds << " vs "
+                     << fresh.smooth_seconds << "); repro: retrain with "
+                     << "RLCUT_DEBUG_INVARIANTS=1, seed=" << options.seed
+                     << ", batch_size=" << options.batch_size
+                     << ", selection=" << static_cast<int>(options.selection)
+                     << " and stop_after_step=" << step + 1;
 }
 
 // Hands the pending delta to the sink, chained on the sink's version
@@ -649,7 +753,7 @@ bool TrainLoop::EndStep(int step, const WallTimer& step_timer,
   // Sampled end-of-step audit (RLCUT_DEBUG_INVARIANTS=N): the state
   // just absorbed a batch of moves and rollbacks, so incremental
   // corruption would surface here first.
-  if (check::ShouldCheckInvariantsAtStep(step)) {
+  if (audit) {
     RLCUT_CHECK(state->CheckInvariants())
         << "partition state invariants violated after trainer step "
         << step;
@@ -785,9 +889,10 @@ Status ValidateRLCutOptions(const RLCutOptions& options) {
     return Status::InvalidArgument("batch_size must be positive, got " +
                                    std::to_string(options.batch_size));
   }
-  if (options.num_threads < 0) {
+  if (options.num_threads < 0 || options.num_threads > kMaxTrainerThreads) {
     return Status::InvalidArgument(
-        "num_threads must be >= 0 (0 = hardware concurrency), got " +
+        "num_threads must be in [0, " + std::to_string(kMaxTrainerThreads) +
+        "] (0 = hardware concurrency), got " +
         std::to_string(options.num_threads));
   }
   if (options.checkpoint_every_steps < 0) {
@@ -816,7 +921,8 @@ RLCutTrainer::RLCutTrainer(const RLCutOptions& options) : options_(options) {
   // get a Status; programmatic callers get nearest-legal behavior.
   options_.max_steps = std::max(1, options_.max_steps);
   options_.batch_size = std::max(1, options_.batch_size);
-  options_.num_threads = std::max(0, options_.num_threads);
+  options_.num_threads =
+      std::clamp(options_.num_threads, 0, kMaxTrainerThreads);
   num_threads_ = options_.num_threads > 0
                      ? static_cast<size_t>(options_.num_threads)
                      : DefaultThreadCount();

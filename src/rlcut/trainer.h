@@ -125,7 +125,8 @@ class RLCutTrainer {
 
   /// Infallible construction for callers with programmatic options:
   /// out-of-range values are clamped to their nearest legal value
-  /// (max_steps/batch_size to >= 1, the thread count to >= 0).
+  /// (max_steps/batch_size to >= 1, the thread count to
+  /// [0, kMaxTrainerThreads]).
   explicit RLCutTrainer(const RLCutOptions& options);
   ~RLCutTrainer();
 
@@ -137,7 +138,8 @@ class RLCutTrainer {
   TrainResult Train(PartitionState* state);
 
   /// Trains over the given eligible agents only (dynamic adaptation:
-  /// the vertices touched by newly inserted edges).
+  /// the vertices touched by newly inserted edges). A vertex listed
+  /// more than once is one agent.
   TrainResult Train(PartitionState* state, std::vector<VertexId> eligible);
 
   /// Same, but using (and updating) an externally owned automaton pool.

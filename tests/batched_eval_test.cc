@@ -2,12 +2,11 @@
 // EvaluateMoveAll / EvaluatePlaceEdgeAll must agree with a loop of
 // single-destination EvaluateMove / EvaluatePlaceEdge calls on every
 // compute model, including high- and low-degree movers, self-loops,
-// the from==to entry, and re-priced (UpdateTopology) states. Exact
-// bit-equality is only guaranteed on dyadic instances (the oracle's
-// lane covers those); the realistic fixtures here use a relative
-// tolerance to absorb benign regrouping ulps.
+// the from==to entry, and re-priced (UpdateTopology) states. Both run
+// one fold (the single-destination evaluators restrict it to their
+// destination), so they agree bit for bit on every instance, the
+// realistic non-dyadic fixtures here included.
 
-#include <cmath>
 #include <cstdlib>
 #include <memory>
 #include <vector>
@@ -26,18 +25,11 @@
 namespace rlcut {
 namespace {
 
-void ExpectNear(const Objective& batched, const Objective& single,
+void ExpectSame(const Objective& batched, const Objective& single,
                 const char* what) {
-  const double tol = 1e-9;
-  EXPECT_NEAR(batched.transfer_seconds, single.transfer_seconds,
-              tol * (1.0 + std::fabs(single.transfer_seconds)))
-      << what;
-  EXPECT_NEAR(batched.cost_dollars, single.cost_dollars,
-              tol * (1.0 + std::fabs(single.cost_dollars)))
-      << what;
-  EXPECT_NEAR(batched.smooth_seconds, single.smooth_seconds,
-              tol * (1.0 + std::fabs(single.smooth_seconds)))
-      << what;
+  EXPECT_EQ(batched.transfer_seconds, single.transfer_seconds) << what;
+  EXPECT_EQ(batched.cost_dollars, single.cost_dollars) << what;
+  EXPECT_EQ(batched.smooth_seconds, single.smooth_seconds) << what;
 }
 
 class BatchedEvalTest : public ::testing::Test {
@@ -75,12 +67,12 @@ class BatchedEvalTest : public ::testing::Test {
       state->EvaluateMoveAll(v, &batch_scratch, batched.data());
       for (DcId to = 0; to < num_dcs; ++to) {
         const Objective single = state->EvaluateMove(v, to, &scratch);
-        ExpectNear(batched[to], single, what);
+        ExpectSame(batched[to], single, what);
       }
       // The from==to entry is the current objective by contract.
-      ExpectNear(batched[state->master(v)], current, what);
+      ExpectSame(batched[state->master(v)], current, what);
     }
-    ExpectNear(state->CurrentObjective(), current, what);
+    ExpectSame(state->CurrentObjective(), current, what);
   }
 
   Graph graph_;
@@ -145,7 +137,7 @@ TEST_F(BatchedEvalTest, SelfLoopsAndMultiEdgesMatch) {
     for (VertexId v = 0; v < graph.num_vertices(); ++v) {
       state.EvaluateMoveAll(v, &batch_scratch, batched.data());
       for (DcId to = 0; to < topology.num_dcs(); ++to) {
-        ExpectNear(batched[to], state.EvaluateMove(v, to, &scratch),
+        ExpectSame(batched[to], state.EvaluateMove(v, to, &scratch),
                    "self-loop fixture");
       }
     }
@@ -168,10 +160,10 @@ TEST_F(BatchedEvalTest, VertexCutPlaceEdgeAllMatchesSingleEvaluator) {
   for (EdgeId e = 0; e < graph_.num_edges(); e += 3) {
     state.EvaluatePlaceEdgeAll(e, &batch_scratch, batched.data());
     for (DcId to = 0; to < num_dcs; ++to) {
-      ExpectNear(batched[to], state.EvaluatePlaceEdge(e, to, &scratch),
+      ExpectSame(batched[to], state.EvaluatePlaceEdge(e, to, &scratch),
                  "vertex-cut");
     }
-    ExpectNear(batched[state.edge_dc(e)], current, "vertex-cut current");
+    ExpectSame(batched[state.edge_dc(e)], current, "vertex-cut current");
   }
 }
 
@@ -189,6 +181,61 @@ TEST_F(BatchedEvalTest, MatchesAfterTopologyUpdate) {
   Topology degraded = MakeEc2Topology(6, Heterogeneity::kLow);
   state.UpdateTopology(&degraded);
   CheckAllMoves(&state, "post-update");
+}
+
+TEST_F(BatchedEvalTest, KeptMoveFoldsAndCommitsLikeAFreshOne) {
+  // Two identical states: `kept` keeps each mover's collection before
+  // moving other vertices (neighbors included), `fresh` only makes the
+  // same moves. Folding and committing the kept collection must then
+  // match fresh evaluation and MoveMaster bit for bit on this
+  // non-dyadic fixture.
+  const uint32_t theta = PartitionState::AutoTheta(graph_);
+  PartitionState kept = MakeState(ComputeModel::kHybridCut, theta);
+  PartitionState fresh = MakeState(ComputeModel::kHybridCut, theta);
+  kept.ResetDerived(locations_);
+  fresh.ResetDerived(locations_);
+  const int num_dcs = topology_.num_dcs();
+  EvalScratch scratch;
+  EvalScratch fresh_scratch;
+  MoveArena arena;
+  std::vector<Objective> batched(num_dcs);
+  Rng rng(13);
+  for (int round = 0; round < 200; ++round) {
+    const VertexId v =
+        static_cast<VertexId>(rng.UniformInt(graph_.num_vertices()));
+    arena.Clear();
+    const KeptMove move =
+        kept.EvaluateMoveAll(v, &scratch, batched.data(), &arena);
+    auto neighbors = graph_.InNeighbors(v);
+    for (int k = 0; k < 3; ++k) {
+      VertexId u =
+          static_cast<VertexId>(rng.UniformInt(graph_.num_vertices()));
+      if (!neighbors.empty() && rng.Bernoulli(0.5)) {
+        u = neighbors[rng.UniformInt(neighbors.size())];
+      }
+      if (u == v) continue;
+      const DcId to = static_cast<DcId>(rng.UniformInt(num_dcs));
+      kept.MoveMaster(u, to);
+      fresh.MoveMaster(u, to);
+    }
+    for (DcId to = 0; to < num_dcs; ++to) {
+      ExpectSame(kept.EvaluateKeptMove(move, to, &scratch),
+                 fresh.EvaluateMove(v, to, &fresh_scratch), "kept fold");
+    }
+    const DcId to = static_cast<DcId>(rng.UniformInt(num_dcs));
+    kept.CommitKeptMove(move, to);
+    fresh.MoveMaster(v, to);
+    ExpectSame(kept.CurrentObjective(), fresh.CurrentObjective(),
+               "kept commit");
+  }
+  EXPECT_EQ(kept.masters(), fresh.masters());
+  for (EdgeId e = 0; e < graph_.num_edges(); ++e) {
+    ASSERT_EQ(kept.edge_dc(e), fresh.edge_dc(e)) << "edge " << e;
+  }
+  for (VertexId v = 0; v < graph_.num_vertices(); ++v) {
+    ASSERT_EQ(kept.ReplicaMask(v), fresh.ReplicaMask(v)) << "vertex " << v;
+  }
+  EXPECT_TRUE(kept.CheckInvariants());
 }
 
 TEST(BatchedEvalTrainerTest, TrainerBatchedPathPassesInvariantAudit) {

@@ -1,8 +1,11 @@
 #include <algorithm>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -422,6 +425,57 @@ TEST_F(TrainerTest, BeatsGingerOnHeterogeneousNetwork) {
   RLCutRunOutput ours = RunRLCut(ctx_, opt);
   EXPECT_LT(ours.state.CurrentObjective().transfer_seconds,
             ginger.state.CurrentObjective().transfer_seconds);
+}
+
+TEST_F(TrainerTest, ReusedObjectivesPassTheAuditOnANonDyadicWorkload) {
+  // 8.1-byte apply messages make the byte sums inexact, so regrouping
+  // them would change bits. RLCUT_DEBUG_INVARIANTS=1 makes every step
+  // compare each objective Migrate reuses or folds with a fresh
+  // EvaluateMove using ==, which holds only because every evaluation
+  // runs the same fold on the same collection.
+  struct ScopedAudit {
+    ScopedAudit() {
+      if (const char* old = std::getenv("RLCUT_DEBUG_INVARIANTS")) {
+        saved = old;
+      }
+      ::setenv("RLCUT_DEBUG_INVARIANTS", "1", 1);
+    }
+    ~ScopedAudit() {
+      if (saved.has_value()) {
+        ::setenv("RLCUT_DEBUG_INVARIANTS", saved->c_str(), 1);
+      } else {
+        ::unsetenv("RLCUT_DEBUG_INVARIANTS");
+      }
+    }
+    std::optional<std::string> saved;
+  } audit;
+  PartitionConfig config;
+  config.theta = ctx_.theta;
+  config.workload = Workload::PageRank();
+  config.workload.apply_base_bytes = 8.1;
+  config.workload.apply_bytes_per_out_edge = 0.3;
+  for (ActionSelection sel :
+       {ActionSelection::kUcbBlend, ActionSelection::kUcbScore,
+        ActionSelection::kProbability, ActionSelection::kGreedy}) {
+    std::vector<DcId> masters_at_one_thread;
+    for (int threads : {1, 4}) {
+      PartitionState state(&graph_, &topology_, &locations_, &sizes_,
+                           config);
+      state.ResetDerived(locations_);
+      RLCutOptions opt = FastOptions();
+      opt.selection = sel;
+      opt.num_threads = threads;
+      const TrainResult result = RLCutTrainer(opt).Train(&state);
+      EXPECT_GT(Migrations(result.steps), 0u)
+          << "selection=" << static_cast<int>(sel) << " threads=" << threads;
+      if (threads == 1) {
+        masters_at_one_thread = state.masters();
+      } else {
+        EXPECT_EQ(state.masters(), masters_at_one_thread)
+            << "selection=" << static_cast<int>(sel);
+      }
+    }
+  }
 }
 
 TEST_F(TrainerTest, SelectionStrategiesAllImprove) {

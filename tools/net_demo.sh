@@ -4,7 +4,8 @@
 # worker and checks the two processes agree on the final plan
 # fingerprint. Phase 2 SIGKILLs the worker mid-run and restarts it
 # empty on the same port: the client must reconnect, detect the version
-# gap, heal via snapshot resync, and still end synced. Phase 3 serves a
+# gap, heal via snapshot resync, and still end synced, with the
+# restarted worker at the tool's fingerprint. Phase 3 serves a
 # stream with the worker attached: the worker must end at the last
 # published version, with that plan's fingerprint.
 #
@@ -80,8 +81,13 @@ echo "phase 1 ok: both processes at fingerprint $tool_fp"
 start_replica "$workdir/replica2.log" 0
 fixed_port=$replica_port
 
+# Unstalled, this run ends in a few hundredths of a second, long before
+# the kill below. The armed stall sites hold every batch's scoring for
+# ~10 ms, so the run lasts seconds and the kill lands mid-run; four
+# threads make the helper-side site fire on any host.
 "$TOOL_BIN" --gen_vertices=2048 --gen_edges=8192 --dcs=4 --method=RLCut \
-    --t_opt=6 --replica_endpoint=127.0.0.1:"$fixed_port" \
+    --t_opt=6 --threads=4 --replica_endpoint=127.0.0.1:"$fixed_port" \
+    --faults='threadpool.caller_stall:prob=1,amount=10;threadpool.worker_stall:prob=1,amount=10' \
     >"$workdir/tool2.log" 2>&1 &
 tool_pid=$!
 
@@ -98,12 +104,20 @@ grep -q "Replica 127.0.0.1:$fixed_port: synced" "$workdir/tool2.log" \
 heals=$(sed -n 's/.*synced.* \([0-9]*\) resyncs, \([0-9]*\) reconnects.*/\1 \2/p' \
         "$workdir/tool2.log" | head -n1)
 read -r resyncs reconnects <<<"$heals"
-[[ "${resyncs:-0}" -ge 1 || "${reconnects:-0}" -ge 1 ]] \
-  || fail "phase 2: no resync/reconnect recorded (got '$heals')"
-echo "phase 2 ok: survived kill/restart ($resyncs resyncs," \
-     "$reconnects reconnects)"
+# The first dial and Begin snapshot account for one of each; the kill
+# must add a reconnect and the restarted, empty worker a resync.
+[[ "${resyncs:-0}" -ge 2 && "${reconnects:-0}" -ge 2 ]] \
+  || fail "phase 2: the kill left no resync and reconnect (got '$heals')"
+tool_fp=$(sed -n 's/.*synced.*fingerprint \([0-9a-f]\{16\}\).*/\1/p' \
+          "$workdir/tool2.log" | head -n1)
 kill -TERM "$replica_pid" && wait "$replica_pid" 2>/dev/null
 replica_pid=""
+replica_fp=$(sed -n 's/.*replica final: v[0-9]* fingerprint \([0-9a-f]\{16\}\).*/\1/p' \
+             "$workdir/replica3.log" | head -n1)
+[[ -n "$tool_fp" && "$tool_fp" == "$replica_fp" ]] \
+  || fail "phase 2: restarted worker at '$replica_fp', tool at '$tool_fp'"
+echo "phase 2 ok: survived kill/restart ($resyncs resyncs," \
+     "$reconnects reconnects), restarted worker at fingerprint $tool_fp"
 
 # ---- Phase 3: a serving session replicates every published plan ------
 start_replica "$workdir/replica4.log" 0

@@ -9,6 +9,7 @@
 //   rlcut_tool --input=graph.el --method=Ginger --dcs=4
 //   rlcut_tool --dataset=LJ --load_plan=plan.txt        # evaluate a plan
 //   rlcut_tool --dataset=LJ --method=RLCut --save_plan=plan.txt
+//   rlcut_tool --dataset=LJ --method=RLCut --threads=1  # one thread
 //   rlcut_tool --dataset=TW --method=RLCut --trace_out=trace.json
 //       --metrics_out=metrics.csv   # open trace.json in ui.perfetto.dev
 //   rlcut_tool --dataset=LJ --method=RLCut --stop_after_step=5
@@ -28,11 +29,13 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <span>
@@ -284,6 +287,9 @@ int main(int argc, char** argv) {
   flags.DefineDouble("budget_fraction", 0.4,
                      "budget as a fraction of the centralized-move cost");
   flags.DefineDouble("t_opt", 0, "RLCut time budget in seconds (0 = off)");
+  flags.DefineInt("threads", 0,
+                  "RLCut trainer threads (0 = hardware concurrency); "
+                  "plans do not depend on it");
   flags.DefineInt("theta", 0, "hybrid-cut threshold (0 = auto)");
   flags.DefineInt("seed", 1, "random seed");
   flags.DefineString("save_plan", "", "write the computed plan here");
@@ -612,11 +618,12 @@ int main(int argc, char** argv) {
                              !flags.GetString("resume_from").empty() ||
                              flags.GetInt("stop_after_step") >= 0 ||
                              flags.GetInt("checkpoint_every") > 0 ||
-                             wants_replica;
+                             flags.GetInt("threads") != 0 || wants_replica;
   if (wants_trainer && method != "RLCut") {
     return Fail(Status::InvalidArgument(
         "--checkpoint_out/--resume_from/--stop_after_step/"
-        "--checkpoint_every/--replica_endpoint require --method=RLCut"));
+        "--checkpoint_every/--threads/--replica_endpoint require "
+        "--method=RLCut"));
   }
   if (method == "RLCut") {
     if (flags.GetInt("checkpoint_every") > 0 &&
@@ -628,6 +635,11 @@ int main(int argc, char** argv) {
     rl_options.t_opt_seconds = flags.GetDouble("t_opt");
     rl_options.budget = ctx.budget;
     rl_options.seed = ctx.seed;
+    // Saturated into int's range; ValidateRLCutOptions judges the value.
+    rl_options.num_threads = static_cast<int>(
+        std::clamp<int64_t>(flags.GetInt("threads"),
+                            std::numeric_limits<int>::min(),
+                            std::numeric_limits<int>::max()));
     rl_options.checkpoint_every_steps =
         static_cast<int>(flags.GetInt("checkpoint_every"));
     rl_options.checkpoint_path = flags.GetString("checkpoint_out");
